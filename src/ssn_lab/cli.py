@@ -25,6 +25,7 @@ from .likelihood import LabelMap, gradient_check_suite
 from .metrics import SampleSet, ged_squared
 from .rng import mix_seed
 from .toy import (
+    TOY_LENGTH,
     TrainConfig,
     evaluate_toy,
     rank_sweep,
@@ -71,6 +72,17 @@ def _default_jobs() -> int:
 
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path, columns: list[str], rows: list[dict]) -> None:
+    """One line per row dict; floats in their shortest round-trip repr."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(
+                [repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns]
+            )
 
 
 def cmd_toy_train(args) -> int:
@@ -125,6 +137,11 @@ def cmd_toy_eval(args) -> int:
     except (OSError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
+    if (model.num_pixels, model.num_classes) != (TOY_LENGTH, 1):
+        got = f"{model.num_pixels} pixels x {model.num_classes} classes"
+        print(f"error: toy-eval needs {TOY_LENGTH} pixels x 1 class, got {got}",
+              file=sys.stderr)
+        return EXIT_USAGE
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     evaluation = evaluate_toy(
@@ -174,51 +191,11 @@ def cmd_rank_sweep(args) -> int:
         return EXIT_USAGE
     seeds = list(range(1, args.seeds + 1))
     rows = rank_sweep(args.ranks, seeds, config, jobs=args.jobs)
-    with open(out / "sweep.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["rank", "seed", "nll", "diversity", "ged2", "stop_reason", "status"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["rank"],
-                    row["seed"],
-                    repr(row["nll"]),
-                    repr(row["diversity"]),
-                    repr(row["ged2"]),
-                    row["stop_reason"],
-                    row["status"],
-                ]
-            )
-    summary = summarize_sweep(rows)
-    with open(out / "summary.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "rank",
-                "runs",
-                "nll_mean",
-                "nll_stderr",
-                "diversity_mean",
-                "diversity_stderr",
-                "ged2_mean",
-                "ged2_stderr",
-            ]
-        )
-        for entry in summary:
-            writer.writerow(
-                [
-                    entry["rank"],
-                    entry["runs"],
-                    repr(entry["nll_mean"]),
-                    repr(entry["nll_stderr"]),
-                    repr(entry["diversity_mean"]),
-                    repr(entry["diversity_stderr"]),
-                    repr(entry["ged2_mean"]),
-                    repr(entry["ged2_stderr"]),
-                ]
-            )
+    columns = ["rank", "seed", "nll", "diversity", "ged2", "stop_reason", "status"]
+    _write_csv(out / "sweep.csv", columns, rows)
+    stats = [f"{key}_{stat}" for key in ("nll", "diversity", "ged2")
+             for stat in ("mean", "stderr")]
+    _write_csv(out / "summary.csv", ["rank", "runs", *stats], summarize_sweep(rows))
     failures = sum(1 for row in rows if row["status"] != "ok")
     print(f"{len(rows)} runs ({failures} failed) -> {out}")
     return EXIT_OK
@@ -292,7 +269,7 @@ def cmd_metrics(args) -> int:
         gt = _load_sample_dir(args.gt)
         pred = _load_sample_dir(args.pred)
         report = ged_squared(gt, pred)
-    except (OSError, ValidationError) as err:
+    except (OSError, ShapeError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     payload = {
@@ -300,8 +277,8 @@ def cmd_metrics(args) -> int:
         "diversity": report.diversity,
         "cross_term": report.cross_term,
         "gt_self_term": report.gt_self_term,
-        "num_gt": len(gt.samples),
-        "num_pred": len(pred.samples),
+        "num_gt": len(gt),
+        "num_pred": len(pred),
     }
     _write_json(args.out, payload)
     print(

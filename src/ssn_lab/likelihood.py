@@ -18,13 +18,23 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .errors import OverflowSignal, ShapeError, ValidationError
-from .lowrank import (
-    LowRankGaussian,
-    NoiseDraw,
-    draw_noise,
-    reconstruct_samples,
-    stack_noise,
-)
+from .lowrank import LowRankGaussian, NoiseDraw, draw_noise, reconstruct_samples
+
+
+def _locked_labels(labels, num_classes: int) -> np.ndarray:
+    """Read-only int64 copy of ``labels``, checked to lie in
+    ``[0, max(num_classes, 2))`` for a class count of at least 1."""
+    labels = np.array(labels, dtype=np.int64, copy=True)
+    if num_classes is None or num_classes < 1:
+        raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
+    limit = max(num_classes, 2)
+    if labels.size and (labels.min() < 0 or labels.max() >= limit):
+        raise ValidationError(
+            f"labels must lie in [0, {limit}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+    labels.setflags(write=False)
+    return labels
 
 
 @dataclass(frozen=True)
@@ -41,16 +51,7 @@ class LabelMap:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64, copy=True).reshape(-1)
-        if self.num_classes < 1:
-            raise ValidationError(f"num_classes must be >= 1, got {self.num_classes}")
-        limit = self.effective_classes
-        if labels.size and (labels.min() < 0 or labels.max() >= limit):
-            raise ValidationError(
-                f"labels must lie in [0, {limit}), got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
-        labels.setflags(write=False)
+        labels = _locked_labels(self.labels, self.num_classes).reshape(-1)
         object.__setattr__(self, "labels", labels)
         if self.mask is not None:
             mask = np.array(self.mask, dtype=bool, copy=True).reshape(-1)
@@ -82,7 +83,7 @@ class LossValue:
 
     value: float
     per_sample_loglik: np.ndarray  # [num_samples]
-    noise: list[NoiseDraw]
+    noise: NoiseDraw
 
 
 class ParamGrads(NamedTuple):
@@ -167,10 +168,7 @@ def ssn_mc_loss(
     _check_agreement(dist, labels)
     eps_factor, eps_diag = draw_noise(dist, num_samples, rng_seed)
     value, loglik = mc_loss_parts(dist, labels, eps_factor, eps_diag)
-    noise = [
-        NoiseDraw(eps_factor=eps_factor[m], eps_diag=eps_diag[m], seed=int(rng_seed))
-        for m in range(num_samples)
-    ]
+    noise = NoiseDraw(eps_factor, eps_diag, int(rng_seed))
     return LossValue(value=value, per_sample_loglik=loglik, noise=noise)
 
 
@@ -225,7 +223,7 @@ def mc_loss_grads(
 
 
 def grad_ssn_mc_loss(
-    dist: LowRankGaussian, labels: LabelMap, noise: list[NoiseDraw]
+    dist: LowRankGaussian, labels: LabelMap, noise: NoiseDraw
 ) -> ParamGrads:
     """Reparameterisation gradient of the Monte-Carlo loss, holding the
     recorded noise fixed.
@@ -236,11 +234,12 @@ def grad_ssn_mc_loss(
     and diag_raw through d sqrt(D)/d diag_raw = sigmoid(diag_raw)/(2 sqrt(D)).
     """
     _check_agreement(dist, labels)
-    eps_factor, eps_diag = stack_noise(noise)
-    if eps_factor.shape[1] != dist.rank or eps_diag.shape[1] != dist.dim:
+    eps_factor, eps_diag = noise.eps_factor, noise.eps_diag
+    n = eps_factor.shape[0]
+    if n < 1 or eps_factor.shape != (n, dist.rank) or eps_diag.shape != (n, dist.dim):
         raise ShapeError(
-            f"noise shaped {eps_factor.shape[1]}/{eps_diag.shape[1]} does not "
-            f"match rank {dist.rank} / dim {dist.dim}"
+            f"noise shaped {eps_factor.shape}/{eps_diag.shape} does not match "
+            f"[n >= 1, rank {dist.rank}] / [n >= 1, dim {dist.dim}]"
         )
     _, grads = mc_loss_grads(dist, labels, eps_factor, eps_diag)
     return grads

@@ -55,14 +55,14 @@ def _as_locked_f64(arr, shape, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseDraw:
-    """Standard-normal variates behind one reparameterised sample.
+    """Standard-normal variates behind ``n`` reparameterised samples, one row each.
 
     Recording these lets a loss evaluation and its gradient (or a
     finite-difference check) reuse exactly the same randomness.
     """
 
-    eps_factor: np.ndarray  # [rank]
-    eps_diag: np.ndarray  # [dim]
+    eps_factor: np.ndarray  # [n, rank]
+    eps_diag: np.ndarray  # [n, dim]
     seed: int
 
 
@@ -116,17 +116,13 @@ class LowRankGaussian:
         Each sample is ``mean + factor @ eps_factor + sqrt(D) * eps_diag``.
         Per sample, the ``rank`` factor variates are drawn before the ``dim``
         diagonal variates; samples consume the stream in order. Returns the
-        ``[n, dim]`` sample matrix and the noise draws behind it.
+        ``[n, dim]`` sample matrix and the noise behind it.
         """
         if n < 1:
             raise ValidationError(f"sample count must be >= 1, got {n}")
         eps_factor, eps_diag = draw_noise(self, n, seed)
         samples = reconstruct_samples(self, eps_factor, eps_diag)
-        draws = [
-            NoiseDraw(eps_factor=eps_factor[m], eps_diag=eps_diag[m], seed=int(seed))
-            for m in range(n)
-        ]
-        return samples, draws
+        return samples, NoiseDraw(eps_factor, eps_diag, int(seed))
 
     def log_prob(self, logits) -> float:
         """Exact Gaussian log-density in O(dim * rank^2) time.
@@ -196,15 +192,6 @@ def reconstruct_samples(
     """
     scale = np.sqrt(dist.effective_diag)
     return dist.mean[None, :] + eps_factor @ dist.factor.T + eps_diag * scale[None, :]
-
-
-def stack_noise(noise) -> tuple[np.ndarray, np.ndarray]:
-    """Pack a list of NoiseDraw back into ([n, rank], [n, dim]) arrays."""
-    if len(noise) == 0:
-        raise ValidationError("empty noise list")
-    eps_factor = np.stack([draw.eps_factor for draw in noise])
-    eps_diag = np.stack([draw.eps_diag for draw in noise])
-    return eps_factor, eps_diag
 
 
 def _cholesky_with_jitter(capacitance: np.ndarray) -> np.ndarray:

@@ -19,33 +19,89 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .likelihood import LabelMap
+from .likelihood import LabelMap, _locked_labels
 
 
-@dataclass(frozen=True)
 class SampleSet:
-    """An ordered collection of label maps drawn from one distribution."""
+    """An ordered collection of label maps drawn from one distribution, held
+    as one ``[n, num_pixels]`` label matrix of the smallest unsigned integer
+    type that holds ``max(num_classes, 2) - 1``.
 
-    samples: list[LabelMap]
-    source: str = "model"  # "ground_truth" or "model"
+    Build it from label maps, ``SampleSet(samples=[...])``, or from an
+    integer matrix, ``SampleSet(labels=matrix, num_classes=c)``, whose label
+    range is checked in one vectorised pass. ``samples`` returns the given
+    maps, or builds them from the matrix on first use.
+    """
 
-    def __post_init__(self):
-        if not self.samples:
-            raise ValidationError("a sample set must contain at least one map")
-        first = self.samples[0]
-        for sample in self.samples:
-            if (
-                sample.num_pixels != first.num_pixels
-                or sample.num_classes != first.num_classes
-            ):
+    def __init__(self, samples=None, *, labels=None, num_classes=None):
+        if (samples is None) == (labels is None):
+            raise ValidationError("give either samples or labels with num_classes")
+        if samples is not None:
+            samples = list(samples)
+            if not samples:
+                raise ValidationError("a sample set must contain at least one map")
+            if len({(s.num_pixels, s.num_classes) for s in samples}) > 1:
                 raise ShapeError("sample sets must have uniform shape and classes")
+            labels = [sample.labels for sample in samples]
+            num_classes = samples[0].num_classes
+        labels = _locked_labels(labels, num_classes)
+        if labels.ndim != 2 or len(labels) == 0:
+            raise ShapeError(f"labels must be [n >= 1, pixels], not {labels.shape}")
+        self._labels = labels.astype(np.min_scalar_type(max(num_classes, 2) - 1))
+        self._samples = samples
+        self._distinct = None
+        self.num_classes = int(num_classes)
+
+    def __len__(self) -> int:
+        return self._labels.shape[0]
 
     @property
-    def num_classes(self) -> int:
-        return self.samples[0].num_classes
+    def num_pixels(self) -> int:
+        return self._labels.shape[1]
+
+    @property
+    def samples(self) -> list[LabelMap]:
+        if self._samples is None:
+            self._samples = [
+                LabelMap(labels=row, num_classes=self.num_classes)
+                for row in self._labels
+            ]
+        return self._samples
 
     def label_matrix(self) -> np.ndarray:
-        return np.stack([sample.labels for sample in self.samples])
+        """The labels as a new ``[n, num_pixels]`` int64 matrix."""
+        return self._labels.astype(np.int64)
+
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct label rows in lexicographic order, in the set's compact
+        integer type, with their weights (shares of the set); computed once
+        per set."""
+        if self._distinct is None:
+            rows, counts = _unique_rows(self._labels, self.num_classes)
+            weights = counts / counts.sum()
+            rows.setflags(write=False)
+            weights.setflags(write=False)
+            self._distinct = rows, weights
+        return self._distinct
+
+
+def _unique_rows(rows: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_counts=True)`` for label rows in
+    ``[0, max(num_classes, 2))``, without a sort over per-column fields.
+
+    Each row is cast to the smallest big-endian unsigned type that holds the
+    largest label and viewed as one opaque byte string. Such strings compare
+    bytewise, which for big-endian unsigned digits is exactly the
+    lexicographic order of the rows, so the distinct rows, their order and
+    their counts all match.
+    """
+    if rows.shape[1] == 0:
+        return rows[:1], np.array([rows.shape[0]])
+    digit = np.min_scalar_type(max(num_classes, 2) - 1).newbyteorder(">")
+    digits = np.ascontiguousarray(rows, dtype=digit)
+    keys = digits.view(np.dtype((np.void, digits.itemsize * digits.shape[1])))[:, 0]
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return rows[first], counts
 
 
 @dataclass(frozen=True)
@@ -63,7 +119,8 @@ class MetricReport:
     gt_self_term: float
 
 
-def _check_pair(a: LabelMap, b: LabelMap) -> None:
+def _check_pair(a, b) -> None:
+    """Label maps or sample sets must agree in pixels and classes."""
     if a.num_pixels != b.num_pixels:
         raise ShapeError(
             f"label maps differ in size: {a.num_pixels} vs {b.num_pixels}"
@@ -107,11 +164,13 @@ def iou_distance(a: LabelMap, b: LabelMap) -> float:
     )
 
 
-def _unique_weighted(sample_set: SampleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct label rows in canonical (lexicographic) order with weights."""
-    rows = sample_set.label_matrix()
-    unique, counts = np.unique(rows, axis=0, return_counts=True)
-    return unique, counts / counts.sum()
+def _mean_distance(a: SampleSet, b: SampleSet) -> float:
+    """Distance averaged over all ordered pairs, one map from each set."""
+    rows_a, weights_a = a.distinct_rows()
+    rows_b, weights_b = b.distinct_rows()
+    return float(
+        weights_a @ pairwise_iou_distance(rows_a, rows_b, a.num_classes) @ weights_b
+    )
 
 
 def ged_squared(gt: SampleSet, pred: SampleSet) -> MetricReport:
@@ -122,21 +181,10 @@ def ged_squared(gt: SampleSet, pred: SampleSet) -> MetricReport:
     Identical label maps are grouped first, so the all-pairs expectations
     cost O(distinct^2) rather than O(samples^2).
     """
-    _check_pair(gt.samples[0], pred.samples[0])
-    num_classes = gt.num_classes
-    gt_rows, gt_weights = _unique_weighted(gt)
-    pred_rows, pred_weights = _unique_weighted(pred)
-    cross = float(
-        gt_weights @ pairwise_iou_distance(gt_rows, pred_rows, num_classes) @ pred_weights
-    )
-    gt_self = float(
-        gt_weights @ pairwise_iou_distance(gt_rows, gt_rows, num_classes) @ gt_weights
-    )
-    diversity = float(
-        pred_weights
-        @ pairwise_iou_distance(pred_rows, pred_rows, num_classes)
-        @ pred_weights
-    )
+    _check_pair(gt, pred)
+    cross = _mean_distance(gt, pred)
+    gt_self = _mean_distance(gt, gt)
+    diversity = _mean_distance(pred, pred)
     return MetricReport(
         ged_squared=2.0 * cross - gt_self - diversity,
         diversity=diversity,
@@ -148,13 +196,10 @@ def ged_squared(gt: SampleSet, pred: SampleSet) -> MetricReport:
 def sample_diversity(pred: SampleSet) -> float:
     """Mean pairwise distance among a model's own samples (self-pairs
     included); zero for a deterministic predictor."""
-    if len(pred.samples) < 2:
+    if len(pred) < 2:
         warnings.warn("sample diversity of a single sample is 0 by convention")
         return 0.0
-    rows, weights = _unique_weighted(pred)
-    return float(
-        weights @ pairwise_iou_distance(rows, rows, pred.num_classes) @ weights
-    )
+    return _mean_distance(pred, pred)
 
 
 def dsc(pred: LabelMap, gt: LabelMap, cls: int) -> float | None:
@@ -180,7 +225,7 @@ def dsc_nod(pred: LabelMap, gts: SampleSet) -> float | None:
     non-background classes, skipping undefined ones. Returns None when every
     ground truth is empty.
     """
-    _check_pair(pred, gts.samples[0])
+    _check_pair(pred, gts)
     effective = max(gts.num_classes, 2)
     scores = []
     for gt in gts.samples:

@@ -13,6 +13,7 @@ model.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -27,7 +28,7 @@ from .likelihood import (
     ssn_mc_loss,
 )
 from .lowrank import LowRankGaussian, draw_noise, softplus_inv
-from .metrics import SampleSet, ged_squared, sample_diversity
+from .metrics import SampleSet, ged_squared
 from .rng import PortableRng, mix_seed
 
 TOY_LENGTH = 21
@@ -86,10 +87,10 @@ class TrainConfig:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
         if self.mc_samples < 1:
             raise ValidationError(f"mc_samples must be >= 1, got {self.mc_samples}")
-        if self.learning_rate <= 0 or self.pretrain_learning_rate <= 0:
-            raise ValidationError("learning rates must be positive")
-        if self.overflow_threshold <= 0:
-            raise ValidationError("overflow threshold must be positive")
+        for name in ("learning_rate", "pretrain_learning_rate", "overflow_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainRep
         mean, factor, diag_raw = new_mean, new_factor, new_diag_raw
 
     checkpoint = LowRankGaussian(mean, factor, diag_raw, num_pixels, 1, config.rank)
-    final_nll = _nll_per_map(checkpoint, data, _FINAL_NLL_SAMPLES, config.seed)
+    final_nll = float(np.mean(_nll_by_map(checkpoint, _FINAL_NLL_SAMPLES, config.seed)))
     return TrainReport(
         loss_trace=np.asarray(trace),
         phase_boundary=phase_boundary,
@@ -201,15 +202,12 @@ def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainRep
     )
 
 
-def _nll_per_map(
-    model: LowRankGaussian, data: ToyDataset, num_samples: int, seed: int
-) -> float:
-    """Monte-Carlo negative log-likelihood averaged over the two maps."""
-    values = [
+def _nll_by_map(model: LowRankGaussian, num_samples: int, seed: int) -> tuple:
+    """Monte-Carlo negative log-likelihood of each of the two maps."""
+    return tuple(
         ssn_mc_loss(model, label_map, num_samples, mix_seed(seed, 0xE7A1, k)).value
-        for k, label_map in enumerate(data.maps)
-    ]
-    return float(np.mean(values))
+        for k, label_map in enumerate(make_toy_dataset().maps)
+    )
 
 
 @dataclass(frozen=True)
@@ -235,12 +233,10 @@ def evaluate_toy(
     distinct maps, sample diversity, and the distance to the true two-map
     distribution."""
     data = make_toy_dataset()
-    nll_by_map = tuple(
-        ssn_mc_loss(model, label_map, n_lik_samples, mix_seed(seed, 0xE7A1, k)).value
-        for k, label_map in enumerate(data.maps)
-    )
+    nll_by_map = _nll_by_map(model, n_lik_samples, seed)
     samples, _ = model.sample(n_samples, mix_seed(seed, 0x5A3B))
-    thresholded = (samples > 0.0).astype(np.int64)
+    thresholded = samples > 0.0
+    pred = SampleSet(labels=thresholded, num_classes=1)
     matches_first = np.all(thresholded == data.maps[0].labels[None, :], axis=1)
     matches_second = np.all(thresholded == data.maps[1].labels[None, :], axis=1)
     histogram = {
@@ -248,18 +244,13 @@ def evaluate_toy(
         "map2": float(matches_second.mean()),
         "other": float(1.0 - matches_first.mean() - matches_second.mean()),
     }
-    sample_set = SampleSet(
-        samples=[LabelMap(labels=row, num_classes=1) for row in thresholded],
-        source="model",
-    )
-    truth = SampleSet(samples=list(data.maps), source="ground_truth")
-    report = ged_squared(truth, sample_set)
+    report = ged_squared(SampleSet(samples=data.maps), pred)
     return ToyEvalReport(
         nll_per_map=float(np.mean(nll_by_map)),
         nll_by_map=nll_by_map,
         histogram=histogram,
-        num_distinct_maps=int(np.unique(thresholded, axis=0).shape[0]),
-        diversity=sample_diversity(sample_set),
+        num_distinct_maps=len(pred.distinct_rows()[0]),
+        diversity=report.diversity,
         ged_squared=report.ged_squared,
         covariance=model.dense_covariance(),
     )

@@ -208,15 +208,15 @@ def test_criterion_07_metric_golden_values():
     first = LabelMap(labels=np.array([1, 1, 0, 0]), num_classes=1)
     second = LabelMap(labels=np.array([0, 0, 1, 1]), num_classes=1)
     report = ged_squared(
-        SampleSet(samples=[first, second], source="ground_truth"),
-        SampleSet(samples=[first], source="model"),
+        SampleSet(samples=[first, second]),
+        SampleSet(samples=[first]),
     )
     assert abs(report.ged_squared - 0.5) <= 1e-12
 
     maps = [data.maps[0], data.maps[1], data.maps[0]]
     identical = ged_squared(
-        SampleSet(samples=maps, source="ground_truth"),
-        SampleSet(samples=list(reversed(maps)), source="model"),
+        SampleSet(samples=maps),
+        SampleSet(samples=list(reversed(maps))),
     )
     assert identical.ged_squared == 0.0
 

@@ -1,12 +1,18 @@
+import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssn_lab import DivergenceError, formats
+from ssn_lab import DivergenceError, LabelMap, LowRankGaussian, PortableRng, formats
 from ssn_lab.cli import main
+
+REFERENCE_TRACE = (
+    Path(__file__).resolve().parents[1] / "bench" / "reference" / "toy_loss_seed1.csv"
+)
 
 QUICK_TRAIN = [
     "--pretrain-iters", "500",
@@ -24,6 +30,43 @@ def trained_dir(tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+def assert_one_error_line(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def read_losses(path):
+    with open(path, newline="") as handle:
+        return [float(row["loss"]) for row in csv.DictReader(handle)]
+
+
+def golden_eval_model():
+    """A fixed rank-2 toy model whose thresholded samples spread over a few
+    hundred distinct maps."""
+    rng = PortableRng(7)
+    mean = np.concatenate([np.full(7, 2.0), np.zeros(7), np.full(7, -2.0)])
+    mean = mean + 0.5 * rng.standard_normal(21)
+    factor = 0.3 * rng.standard_normal((21, 2))
+    factor[7:14, 0] += 2.5
+    return LowRankGaussian(mean, factor, np.full(21, -1.0), 21, 1, 2)
+
+
+# eval.json of golden_eval_model() with --samples 3000 --lik-samples 3000
+# --seed 11, recorded before evaluation moved to label matrices.
+GOLDEN_EVAL = {
+    "diversity": 0.3067625560308972,
+    "ged_squared": 0.012827515934174638,
+    "histogram": {
+        "map1": 0.232,
+        "map2": 0.23066666666666666,
+        "other": 0.5373333333333333,
+    },
+    "nll_by_map": [4.552836523068664, 4.8039298287551695],
+    "nll_per_map": 4.678383175911916,
+    "num_distinct_maps": 296,
+}
 
 
 class TestToyTrain:
@@ -58,6 +101,25 @@ class TestToyTrain:
             ["toy-train", "--lr", "-1.0", "--out", str(tmp_path), *QUICK_TRAIN]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--lr", "--pretrain-lr"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(
+        self, tmp_path, capsys, flag, value
+    ):
+        code = main(["toy-train", flag, value, "--out", str(tmp_path), *QUICK_TRAIN])
+        assert code == 2
+        assert_one_error_line(capsys)
+
+    def test_golden_loss_trace(self, tmp_path):
+        """Same flags, same bytes: the seed-1 short run reproduces the
+        recorded loss trace exactly."""
+        code = main(
+            ["toy-train", "--seed", "1", "--pretrain-iters", "200", "--iters", "500",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert read_losses(tmp_path / "loss.csv") == read_losses(REFERENCE_TRACE)
 
     def test_pretraining_divergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         import ssn_lab.cli as cli_module
@@ -104,6 +166,27 @@ class TestToyEval:
         outside_mask = np.ones((21, 21), dtype=bool)
         outside_mask[7:14, 7:14] = False
         assert middle >= 5.0 * covariance[outside_mask].mean()
+
+    def test_golden_eval_values(self, tmp_path):
+        formats.save_distribution(tmp_path / "model.ssnt", golden_eval_model())
+        code = main(
+            ["toy-eval", "--model", str(tmp_path / "model.ssnt"),
+             "--samples", "3000", "--lik-samples", "3000", "--seed", "11",
+             "--out", str(tmp_path / "eval")]
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "eval" / "eval.json").read_text()) == GOLDEN_EVAL
+
+    def test_non_toy_model_is_usage_error(self, tmp_path, capsys):
+        model = LowRankGaussian(np.zeros(42), np.zeros((42, 1)), np.zeros(42), 21, 2, 1)
+        formats.save_distribution(tmp_path / "model.ssnt", model)
+        code = main(
+            ["toy-eval", "--model", str(tmp_path / "model.ssnt"),
+             "--out", str(tmp_path / "eval")]
+        )
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "eval").exists()
 
     def test_missing_model_is_io_error(self, tmp_path):
         code = main(
@@ -185,6 +268,35 @@ class TestMetricsCommand:
         report = json.loads(out.read_text())
         assert report["ged_squared"] == 0.0
         assert report["num_gt"] == 6
+
+    def test_map_size_mismatch_between_directories_is_io_error(
+        self, tmp_path, capsys
+    ):
+        for name, labels in (("gt", [1, 0, 1]), ("pred", [1, 0])):
+            (tmp_path / name).mkdir()
+            formats.save_label_map(
+                tmp_path / name / "a.json", LabelMap(labels=labels, num_classes=1)
+            )
+        code = main(
+            ["metrics", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 4
+        assert_one_error_line(capsys)
+
+    def test_map_size_mismatch_within_directory_is_io_error(self, tmp_path, capsys):
+        maps = tmp_path / "maps"
+        maps.mkdir()
+        for name, labels in (("a", [1, 0, 1]), ("b", [1, 0])):
+            formats.save_label_map(
+                maps / f"{name}.json", LabelMap(labels=labels, num_classes=1)
+            )
+        code = main(
+            ["metrics", "--gt", str(maps), "--pred", str(maps),
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 4
+        assert_one_error_line(capsys)
 
     def test_missing_directory_is_io_error(self, tmp_path):
         code = main(

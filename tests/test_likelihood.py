@@ -15,7 +15,7 @@ from ssn_lab import (
     make_toy_dataset,
     ssn_mc_loss,
 )
-from ssn_lab.lowrank import reconstruct_samples, stack_noise
+from ssn_lab.lowrank import reconstruct_samples
 from conftest import random_instance, random_labels
 
 
@@ -93,8 +93,8 @@ class TestMcLoss:
         dist = random_instance(2, max_dim=6, max_rank=2)
         labels = random_labels(2, dist.num_pixels, 1)
         result = ssn_mc_loss(dist, labels, num_samples=1, rng_seed=5)
-        eps_factor, eps_diag = stack_noise(result.noise)
-        sample = reconstruct_samples(dist, eps_factor, eps_diag)[0]
+        noise = result.noise
+        sample = reconstruct_samples(dist, noise.eps_factor, noise.eps_diag)[0]
         assert result.value == pytest.approx(
             cross_entropy_loss(sample, labels), abs=1e-12
         )
@@ -168,9 +168,9 @@ class TestGradients:
         (outer thirds share labels across maps and keep a -+0.5 pull)."""
         data = make_toy_dataset()
         dist = degenerate_dist(np.zeros(21))
-        noise = [
-            NoiseDraw(eps_factor=np.zeros(1), eps_diag=np.zeros(21), seed=0)
-        ]
+        noise = NoiseDraw(
+            eps_factor=np.zeros((1, 1)), eps_diag=np.zeros((1, 21)), seed=0
+        )
         total = np.zeros(21)
         for label_map in data.maps:
             total += grad_ssn_mc_loss(dist, label_map, noise).mean
@@ -197,9 +197,18 @@ class TestGradients:
     def test_noise_mismatch_rejected(self):
         dist = random_instance(1, max_dim=4, max_rank=2)
         labels = random_labels(1, dist.num_pixels, 1)
-        bad = [NoiseDraw(np.zeros(dist.rank + 1), np.zeros(dist.dim), seed=0)]
+        bad = NoiseDraw(
+            np.zeros((1, dist.rank + 1)), np.zeros((1, dist.dim)), seed=0
+        )
         with pytest.raises(ShapeError):
             grad_ssn_mc_loss(dist, labels, bad)
+
+    def test_empty_noise_rejected(self):
+        dist = random_instance(1, max_dim=4, max_rank=2)
+        labels = random_labels(1, dist.num_pixels, 1)
+        empty = NoiseDraw(np.zeros((0, dist.rank)), np.zeros((0, dist.dim)), seed=0)
+        with pytest.raises(ShapeError):
+            grad_ssn_mc_loss(dist, labels, empty)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_multiclass_gradient_against_finite_differences(self, seed):
@@ -217,12 +226,7 @@ class TestGradients:
         )
         eps_factor, eps_diag = draw_noise(dist, 3, seed)
         grads = grad_ssn_mc_loss(
-            dist,
-            rng_labels,
-            [
-                NoiseDraw(eps_factor[m], eps_diag[m], seed=seed)
-                for m in range(3)
-            ],
+            dist, rng_labels, NoiseDraw(eps_factor, eps_diag, seed=seed)
         )
         loss_fn = fixed_noise_loss_fn(rng_labels, 4, 3, 2, eps_factor, eps_diag)
         numeric = finite_diff_grad(loss_fn, params)

@@ -122,20 +122,16 @@ class TestSampling:
         first, noise_a = dist.sample(17, seed=99)
         second, noise_b = dist.sample(17, seed=99)
         assert np.array_equal(first, second)
-        assert all(
-            np.array_equal(a.eps_factor, b.eps_factor)
-            and np.array_equal(a.eps_diag, b.eps_diag)
-            for a, b in zip(noise_a, noise_b)
-        )
+        assert np.array_equal(noise_a.eps_factor, noise_b.eps_factor)
+        assert np.array_equal(noise_a.eps_diag, noise_b.eps_diag)
 
     def test_noise_draw_records_seed_and_shapes(self):
         dist = random_instance(6)
         samples, noise = dist.sample(4, seed=42)
         assert samples.shape == (4, dist.dim)
-        assert len(noise) == 4
-        assert noise[0].seed == 42
-        assert noise[0].eps_factor.shape == (dist.rank,)
-        assert noise[0].eps_diag.shape == (dist.dim,)
+        assert noise.seed == 42
+        assert noise.eps_factor.shape == (4, dist.rank)
+        assert noise.eps_diag.shape == (4, dist.dim)
 
     def test_sample_count_validated(self):
         with pytest.raises(ValidationError):
@@ -170,8 +166,7 @@ class TestSampling:
         )
         n = 200_000
         _, noise = dist.sample(n, seed=3)
-        eps_factor = np.stack([draw.eps_factor for draw in noise])
-        factor_part = eps_factor @ dist.factor.T
+        factor_part = noise.eps_factor @ dist.factor.T
         explained = factor_part.var(axis=0).sum()
         total_expected = dist.marginal_variance().sum()
         expected_ratio = (dist.factor**2).sum() / total_expected

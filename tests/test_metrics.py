@@ -1,7 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ssn_lab import (
     LabelMap,
@@ -17,6 +21,7 @@ from ssn_lab import (
     marginal_entropy,
     sample_diversity,
 )
+from ssn_lab.metrics import _unique_rows
 
 BINARY_ENTROPY_QUARTER = 0.8112781244591328  # -(.25 log2 .25 + .75 log2 .75)
 
@@ -100,8 +105,8 @@ class TestGedSquared:
     def test_hand_computed_two_disjoint_maps(self):
         first = binary_map([1, 1, 0, 0])
         second = binary_map([0, 0, 1, 1])
-        gt = SampleSet(samples=[first, second], source="ground_truth")
-        pred = SampleSet(samples=[first], source="model")
+        gt = SampleSet(samples=[first, second])
+        pred = SampleSet(samples=[first])
         report = ged_squared(gt, pred)
         assert report.cross_term == pytest.approx(0.5, abs=1e-15)
         assert report.gt_self_term == pytest.approx(0.5, abs=1e-15)
@@ -110,8 +115,8 @@ class TestGedSquared:
 
     def test_identical_multisets_in_different_order_give_exact_zero(self):
         maps = [binary_map([1, 0, 0]), binary_map([0, 1, 1]), binary_map([1, 0, 0])]
-        gt = SampleSet(samples=maps, source="ground_truth")
-        pred = SampleSet(samples=maps[::-1], source="model")
+        gt = SampleSet(samples=maps)
+        pred = SampleSet(samples=maps[::-1])
         assert ged_squared(gt, pred).ged_squared == 0.0
 
     def test_report_identity_holds(self):
@@ -150,7 +155,7 @@ class TestGedSquared:
 
     def test_perfect_toy_model_distribution(self):
         data = make_toy_dataset()
-        gt = SampleSet(samples=list(data.maps), source="ground_truth")
+        gt = SampleSet(samples=list(data.maps))
         # an exactly balanced large sample from the same two-atom distribution
         pred = SampleSet(samples=[data.maps[0]] * 500 + [data.maps[1]] * 500)
         report = ged_squared(gt, pred)
@@ -263,3 +268,94 @@ class TestSampleSet:
     def test_mixed_shapes_rejected(self):
         with pytest.raises(ShapeError):
             SampleSet(samples=[binary_map([1, 0]), binary_map([1, 0, 0])])
+
+    @pytest.mark.parametrize("num_classes", [1, 3, 300])
+    def test_matrix_and_maps_give_the_same_set(self, num_classes):
+        maps = random_sample_set(3, 9, num_pixels=5, num_classes=num_classes)
+        matrix = SampleSet(labels=maps.label_matrix(), num_classes=num_classes)
+        assert matrix.label_matrix().dtype == np.int64
+        assert np.array_equal(matrix.label_matrix(), maps.label_matrix())
+        assert len(matrix) == 9 and matrix.num_pixels == 5
+        assert [m.labels.tolist() for m in matrix.samples] == [
+            m.labels.tolist() for m in maps.samples
+        ]
+        other = random_sample_set(4, 6, num_pixels=5, num_classes=num_classes)
+        assert ged_squared(other, matrix) == ged_squared(other, maps)
+
+    def test_label_matrix_is_a_copy(self):
+        sample_set = SampleSet(labels=np.zeros((2, 3), dtype=np.int64), num_classes=1)
+        sample_set.label_matrix()[0, 0] = 1
+        assert not sample_set.label_matrix().any()
+
+    @pytest.mark.parametrize(
+        "labels, num_classes",
+        [([[0, -1]], 1), ([[0, 2]], 1), ([[3, 0]], 3), ([[0, 256]], 256)],
+    )
+    def test_out_of_range_label_rejected(self, labels, num_classes):
+        with pytest.raises(ValidationError):
+            SampleSet(labels=np.asarray(labels), num_classes=num_classes)
+
+    def test_bad_matrix_arguments_rejected(self):
+        with pytest.raises(ShapeError):
+            SampleSet(labels=np.zeros(3, dtype=np.int64), num_classes=1)
+        with pytest.raises(ShapeError):
+            SampleSet(labels=np.zeros((0, 3), dtype=np.int64), num_classes=1)
+        with pytest.raises(ValidationError):
+            SampleSet(labels=np.zeros((1, 3), dtype=np.int64), num_classes=0)
+        with pytest.raises(ValidationError):
+            SampleSet(
+                samples=[binary_map([1, 0])], labels=np.zeros((1, 2)), num_classes=1
+            )
+
+
+CLASS_COUNTS = [1, 2, 4, 255, 256, 300]
+
+
+def assert_matches_np_unique(rows, num_classes):
+    expected, expected_counts = np.unique(rows, axis=0, return_counts=True)
+    got, counts = _unique_rows(rows, num_classes)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert np.array_equal(counts, expected_counts)
+
+
+@st.composite
+def label_rows(draw):
+    """Rows picked with repeats from a small pool, so duplicates are common."""
+    num_classes = draw(st.sampled_from(CLASS_COUNTS))
+    top = max(num_classes, 2) - 1
+    # byte boundaries, where a wrong byte order would reorder rows
+    edges = st.sampled_from(sorted({0, 1, top, min(top, 255), min(top, 256)}))
+    pool = draw(
+        arrays(
+            np.int64,
+            (draw(st.integers(1, 6)), draw(st.integers(0, 12))),
+            elements=st.integers(0, top) | edges,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return pool[picks], num_classes
+
+
+class TestUniqueRows:
+    """The row dedup must reproduce np.unique(axis=0) exactly: the same
+    rows in the same order with the same counts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(label_rows())
+    def test_matches_np_unique(self, case):
+        assert_matches_np_unique(*case)
+
+    @pytest.mark.parametrize("num_classes", CLASS_COUNTS)
+    def test_all_equal_rows(self, num_classes):
+        rows = np.full((50, 9), max(num_classes, 2) - 1, dtype=np.int64)
+        assert_matches_np_unique(rows, num_classes)
+
+    @pytest.mark.parametrize("num_classes", CLASS_COUNTS)
+    def test_all_distinct_rows(self, num_classes):
+        limit = max(num_classes, 2)
+        width = math.ceil(math.log(500) / math.log(limit))
+        codes = np.random.default_rng(num_classes).permutation(limit**width)[:500]
+        rows = codes[:, None] // limit ** np.arange(width)[::-1] % limit
+        assert_matches_np_unique(rows, num_classes)
+        assert _unique_rows(rows, num_classes)[0].shape == (500, width)

@@ -105,6 +105,11 @@ class TestTraining:
             dict(mc_samples=0),
             dict(learning_rate=0.0),
             dict(overflow_threshold=-1.0),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(pretrain_learning_rate=float("nan")),
+            dict(overflow_threshold=float("inf")),
+            dict(overflow_threshold=float("nan")),
         ],
     )
     def test_config_validation(self, kwargs):
