@@ -132,11 +132,7 @@ def cmd_toy_train(args) -> int:
 
 
 def cmd_toy_eval(args) -> int:
-    try:
-        model = formats.load_distribution(args.model)
-    except (OSError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    model = formats.load_distribution(args.model)
     if (model.num_pixels, model.num_classes) != (TOY_LENGTH, 1):
         got = f"{model.num_pixels} pixels x {model.num_classes} classes"
         print(f"error: toy-eval needs {TOY_LENGTH} pixels x 1 class, got {got}",
@@ -176,8 +172,6 @@ def cmd_toy_eval(args) -> int:
 
 
 def cmd_rank_sweep(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         config = TrainConfig(
             mc_samples=args.mc_samples,
@@ -189,6 +183,8 @@ def cmd_rank_sweep(args) -> int:
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     seeds = list(range(1, args.seeds + 1))
     rows = rank_sweep(args.ranks, seeds, config, jobs=args.jobs)
     columns = ["rank", "seed", "nll", "diversity", "ged2", "stop_reason", "status"]
@@ -202,11 +198,7 @@ def cmd_rank_sweep(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    try:
-        model = formats.load_distribution(args.model)
-    except (OSError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    model = formats.load_distribution(args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples, _ = model.sample(args.n, args.seed)
@@ -225,11 +217,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_manipulate(args) -> int:
-    try:
-        model = formats.load_distribution(args.model)
-    except (OSError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    model = formats.load_distribution(args.model)
     try:
         payload = json.loads(args.scale)
         scale = DeviationScale(
@@ -265,13 +253,9 @@ def _load_sample_dir(directory) -> SampleSet:
 
 
 def cmd_metrics(args) -> int:
-    try:
-        gt = _load_sample_dir(args.gt)
-        pred = _load_sample_dir(args.pred)
-        report = ged_squared(gt, pred)
-    except (OSError, ShapeError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    gt = _load_sample_dir(args.gt)
+    pred = _load_sample_dir(args.pred)
+    report = ged_squared(gt, pred)
     payload = {
         "ged_squared": report.ged_squared,
         "diversity": report.diversity,
@@ -427,7 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ShapeError, ValidationError) as err:
+        # Usage errors are caught where they arise; what reaches here comes
+        # from reading or writing files.
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
 
 
 def entrypoint() -> None:

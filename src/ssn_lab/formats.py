@@ -12,11 +12,12 @@ next to each image.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .likelihood import LabelMap
 from .lowrank import LowRankGaussian
 
@@ -32,9 +33,9 @@ def _tensor_from_payload(payload, name: str) -> np.ndarray:
     try:
         shape = tuple(int(s) for s in payload["shape"])
         data = np.asarray(payload["data"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"malformed tensor {name!r}: {err}") from err
-    if data.size != int(np.prod(shape)):
+    if data.size != math.prod(shape) or min(shape, default=0) < 0:
         raise ValidationError(
             f"tensor {name!r} declares shape {shape} but carries {data.size} values"
         )
@@ -55,11 +56,15 @@ def save_distribution(path, dist: LowRankGaussian) -> None:
     Path(path).write_text(json.dumps(document, separators=(",", ":")) + "\n")
 
 
-def load_distribution(path) -> LowRankGaussian:
+def _read_json(path):
     try:
-        document = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"not valid JSON: {path}") from err
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as err:  # bad UTF-8, bad JSON, too deep
+        raise ValidationError(f"not valid UTF-8 JSON: {path}") from err
+
+
+def load_distribution(path) -> LowRankGaussian:
+    document = _read_json(path)
     if not isinstance(document, dict) or document.get("format") != SSNT_FORMAT:
         raise ValidationError(f"not an SSNT container: {path}")
     if document.get("version") != SSNT_VERSION:
@@ -70,16 +75,19 @@ def load_distribution(path) -> LowRankGaussian:
         num_pixels = int(document["S"])
         num_classes = int(document["C"])
         rank = int(document["R"])
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"malformed SSNT dimensions in {path}") from err
-    return LowRankGaussian(
-        mean=_tensor_from_payload(document.get("mean"), "mean"),
-        factor=_tensor_from_payload(document.get("factor"), "factor"),
-        diag_raw=_tensor_from_payload(document.get("diag_raw"), "diag_raw"),
-        num_pixels=num_pixels,
-        num_classes=num_classes,
-        rank=rank,
-    )
+    try:
+        return LowRankGaussian(
+            mean=_tensor_from_payload(document.get("mean"), "mean"),
+            factor=_tensor_from_payload(document.get("factor"), "factor"),
+            diag_raw=_tensor_from_payload(document.get("diag_raw"), "diag_raw"),
+            num_pixels=num_pixels,
+            num_classes=num_classes,
+            rank=rank,
+        )
+    except (ShapeError, ValidationError) as err:
+        raise ValidationError(f"{path}: {err}") from err
 
 
 def save_label_map(path, label_map: LabelMap, shape=None) -> None:
@@ -99,24 +107,23 @@ def save_label_map(path, label_map: LabelMap, shape=None) -> None:
 
 def load_label_map(path) -> tuple[LabelMap, list[int]]:
     """Read a JSON label map; returns the map and its pixel shape."""
-    try:
-        document = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"not valid JSON: {path}") from err
+    document = _read_json(path)
     try:
         shape = [int(s) for s in document["shape"]]
-        num_classes = int(document["num_classes"])
-        labels = np.asarray(document["labels"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValidationError(f"malformed label map file {path}") from err
-    if labels.size != int(np.prod(shape)):
-        raise ValidationError(
-            f"label map {path} declares shape {shape} but has {labels.size} labels"
+        mask = document.get("mask")
+        label_map = LabelMap(
+            labels=np.asarray(document["labels"], dtype=np.int64),
+            num_classes=int(document["num_classes"]),
+            mask=None if mask is None else np.asarray(mask, dtype=bool),
         )
-    mask = document.get("mask")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-    return LabelMap(labels=labels, num_classes=num_classes, mask=mask), shape
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise ValidationError(f"malformed label map file {path}: {err}") from err
+    if label_map.num_pixels != math.prod(shape):
+        raise ValidationError(
+            f"label map {path} declares shape {shape} but has "
+            f"{label_map.num_pixels} labels"
+        )
+    return label_map, shape
 
 
 def label_map_to_pgm(path, label_map: LabelMap, shape) -> None:
@@ -154,12 +161,15 @@ def _read_pgm_bytes(path) -> np.ndarray:
         while pos < len(raw) and raw[pos : pos + 1].isspace():
             pos += 1
         if raw[pos : pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
+            newline = raw.find(b"\n", pos)
+            pos = len(raw) if newline < 0 else newline + 1
             continue
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
+    if not all(f.isdigit() and len(f) < 10 and int(f) > 0 for f in fields):
+        raise ValidationError(f"malformed PGM header in {path}")
     pos += 1  # single whitespace after maxval
     width, height, maxval = (int(f) for f in fields)
     if maxval != 255:

@@ -18,7 +18,14 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .errors import OverflowSignal, ShapeError, ValidationError
-from .lowrank import LowRankGaussian, NoiseDraw, draw_noise, reconstruct_samples
+from .lowrank import (
+    DIAG_FLOOR,
+    LowRankGaussian,
+    NoiseDraw,
+    draw_noise,
+    reconstruct_samples,
+    softplus,
+)
 
 
 def _locked_labels(labels, num_classes: int) -> np.ndarray:
@@ -138,19 +145,18 @@ def _check_agreement(dist: LowRankGaussian, labels: LabelMap) -> None:
         )
 
 
-def mc_loss_parts(
-    dist: LowRankGaussian,
-    labels: LabelMap,
-    eps_factor: np.ndarray,
-    eps_diag: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Loss value and per-sample log-likelihoods for fixed noise."""
-    samples = reconstruct_samples(dist, eps_factor, eps_diag)
+def _mc_forward(
+    mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss value, per-sample log-likelihoods and logit samples for fixed
+    noise: the one forward pass behind the loss, its gradient and the
+    finite-difference oracle."""
+    samples = reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag)
     loglik = batch_label_loglik(samples, labels)
     if not np.all(np.isfinite(loglik)):
         raise OverflowSignal("non-finite per-sample log-likelihood")
     value = float(-logsumexp(loglik) + np.log(loglik.size))
-    return value, loglik
+    return value, loglik, samples
 
 
 def ssn_mc_loss(
@@ -166,8 +172,10 @@ def ssn_mc_loss(
     if num_samples < 1:
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
     _check_agreement(dist, labels)
-    eps_factor, eps_diag = draw_noise(dist, num_samples, rng_seed)
-    value, loglik = mc_loss_parts(dist, labels, eps_factor, eps_diag)
+    eps_factor, eps_diag = draw_noise(num_samples, dist.rank, dist.dim, rng_seed)
+    value, loglik, _ = _mc_forward(
+        dist.mean, dist.factor, dist.diag_raw, labels, eps_factor, eps_diag
+    )
     noise = NoiseDraw(eps_factor, eps_diag, int(rng_seed))
     return LossValue(value=value, per_sample_loglik=loglik, noise=noise)
 
@@ -198,26 +206,25 @@ def _per_sample_residual(
     return (weights[:, None, None] * residual).reshape(n, -1)
 
 
-def mc_loss_grads(
-    dist: LowRankGaussian,
-    labels: LabelMap,
-    eps_factor: np.ndarray,
-    eps_diag: np.ndarray,
+def loss_and_grads(
+    mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag
 ) -> tuple[float, ParamGrads]:
-    """Loss and its exact gradient for fixed noise, in one pass."""
-    samples = reconstruct_samples(dist, eps_factor, eps_diag)
-    loglik = batch_label_loglik(samples, labels)
-    if not np.all(np.isfinite(loglik)):
-        raise OverflowSignal("non-finite per-sample log-likelihood")
-    value = float(-logsumexp(loglik) + np.log(loglik.size))
+    """Loss and its exact gradient for fixed noise, on raw arrays.
+
+    The unvalidated kernel behind ``grad_ssn_mc_loss`` and the toy trainer:
+    callers guarantee consistent shapes and finite parameters.
+    """
+    value, loglik, samples = _mc_forward(
+        mean, factor, diag_raw, labels, eps_factor, eps_diag
+    )
     shifted = loglik - loglik.max()
     weights = np.exp(shifted)
     weights /= weights.sum()
     residual = _per_sample_residual(samples, labels, weights)
     grad_mean = residual.sum(axis=0)
     grad_factor = residual.T @ eps_factor
-    d = dist.effective_diag
-    sqrt_d_deriv = 0.5 / np.sqrt(d) * expit(dist.diag_raw)
+    d = softplus(diag_raw) + DIAG_FLOOR
+    sqrt_d_deriv = 0.5 / np.sqrt(d) * expit(diag_raw)
     grad_diag_raw = (residual * eps_diag).sum(axis=0) * sqrt_d_deriv
     return value, ParamGrads(grad_mean, grad_factor, grad_diag_raw)
 
@@ -241,7 +248,9 @@ def grad_ssn_mc_loss(
             f"noise shaped {eps_factor.shape}/{eps_diag.shape} does not match "
             f"[n >= 1, rank {dist.rank}] / [n >= 1, dim {dist.dim}]"
         )
-    _, grads = mc_loss_grads(dist, labels, eps_factor, eps_diag)
+    _, grads = loss_and_grads(
+        dist.mean, dist.factor, dist.diag_raw, labels, eps_factor, eps_diag
+    )
     return grads
 
 
@@ -268,25 +277,6 @@ def finite_diff_grad(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5):
             flat_grad[idx] = (upper - lower) / (2.0 * h)
         grads[name] = grad
     return grads
-
-
-def fixed_noise_loss_fn(labels: LabelMap, num_pixels: int, num_classes: int,
-                        rank: int, eps_factor: np.ndarray, eps_diag: np.ndarray):
-    """Loss as a pure function of a params dict, with noise frozen."""
-
-    def loss_fn(params: dict[str, np.ndarray]) -> float:
-        dist = LowRankGaussian(
-            mean=params["mean"],
-            factor=params["factor"],
-            diag_raw=params["diag_raw"],
-            num_pixels=num_pixels,
-            num_classes=num_classes,
-            rank=rank,
-        )
-        value, _ = mc_loss_parts(dist, labels, eps_factor, eps_diag)
-        return value
-
-    return loss_fn
 
 
 @dataclass(frozen=True)
@@ -335,16 +325,14 @@ def gradient_check_suite(
             if not mask.any():
                 mask[0] = True
         labels = LabelMap(labels=labels_arr, num_classes=num_classes, mask=mask)
-        dist = LowRankGaussian(
-            params["mean"], params["factor"], params["diag_raw"],
-            num_pixels, num_classes, rank,
+        eps_factor, eps_diag = draw_noise(
+            num_samples, rank, num_pixels * num_classes, mix_seed(seed, trial, 1)
         )
-        eps_factor, eps_diag = draw_noise(dist, num_samples, mix_seed(seed, trial, 1))
-        _, analytic = mc_loss_grads(dist, labels, eps_factor, eps_diag)
-        loss_fn = fixed_noise_loss_fn(
-            labels, num_pixels, num_classes, rank, eps_factor, eps_diag
+        fixed = {"labels": labels, "eps_factor": eps_factor, "eps_diag": eps_diag}
+        _, analytic = loss_and_grads(**params, **fixed)
+        numeric = finite_diff_grad(
+            lambda p: _mc_forward(**p, **fixed)[0], params, h=h
         )
-        numeric = finite_diff_grad(loss_fn, params, h=h)
         trial_failed = False
         for name, a in zip(("mean", "factor", "diag_raw"), analytic):
             g = numeric[name]

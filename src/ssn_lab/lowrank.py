@@ -120,8 +120,10 @@ class LowRankGaussian:
         """
         if n < 1:
             raise ValidationError(f"sample count must be >= 1, got {n}")
-        eps_factor, eps_diag = draw_noise(self, n, seed)
-        samples = reconstruct_samples(self, eps_factor, eps_diag)
+        eps_factor, eps_diag = draw_noise(n, self.rank, self.dim, seed)
+        samples = reconstruct_samples(
+            self.mean, self.factor, self.diag_raw, eps_factor, eps_diag
+        )
         return samples, NoiseDraw(eps_factor, eps_diag, int(seed))
 
     def log_prob(self, logits) -> float:
@@ -173,25 +175,23 @@ class LowRankGaussian:
         return float(-0.5 * (solved @ solved + log_det + self.dim * _LOG_2PI))
 
 
-def draw_noise(dist: LowRankGaussian, n: int, seed: int):
+def draw_noise(n: int, rank: int, dim: int, seed: int):
     """Standard-normal noise for ``n`` samples: ([n, rank], [n, dim])."""
     rng = PortableRng(seed)
-    block = rng.standard_normal((n, dist.rank + dist.dim))
-    return np.ascontiguousarray(block[:, : dist.rank]), np.ascontiguousarray(
-        block[:, dist.rank :]
+    block = rng.standard_normal((n, rank + dim))
+    return np.ascontiguousarray(block[:, :rank]), np.ascontiguousarray(
+        block[:, rank:]
     )
 
 
-def reconstruct_samples(
-    dist: LowRankGaussian, eps_factor: np.ndarray, eps_diag: np.ndarray
-) -> np.ndarray:
-    """Deterministic sample reconstruction from recorded noise.
+def reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag) -> np.ndarray:
+    """Sample reconstruction from raw, unvalidated arrays and recorded noise.
 
     Shared by sampling, the loss, its gradient and the finite-difference
     oracle so all of them see bit-identical logit samples.
     """
-    scale = np.sqrt(dist.effective_diag)
-    return dist.mean[None, :] + eps_factor @ dist.factor.T + eps_diag * scale[None, :]
+    scale = np.sqrt(softplus(diag_raw) + DIAG_FLOOR)
+    return mean[None, :] + eps_factor @ factor.T + eps_diag * scale[None, :]
 
 
 def _cholesky_with_jitter(capacitance: np.ndarray) -> np.ndarray:
@@ -201,7 +201,7 @@ def _cholesky_with_jitter(capacitance: np.ndarray) -> np.ndarray:
             return np.linalg.cholesky(
                 capacitance + jitter * np.eye(capacitance.shape[0])
             )
-        except np.linalg.LinAlgError as err:  # pragma: no cover - defensive
+        except np.linalg.LinAlgError as err:
             last_error = err
     eigenvalues = np.linalg.eigvalsh(capacitance)
     raise NumericalError(

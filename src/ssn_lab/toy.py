@@ -24,7 +24,7 @@ from .errors import DivergenceError, OverflowSignal, ValidationError
 from .likelihood import (
     LabelMap,
     cross_entropy_loss,
-    mc_loss_grads,
+    loss_and_grads,
     ssn_mc_loss,
 )
 from .lowrank import LowRankGaussian, draw_noise, softplus_inv
@@ -165,13 +165,12 @@ def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainRep
     for _ in range(config.iterations):
         map_index = int(rng.integers(0, 2))
         noise_seed = rng.draw_seed()
-        dist = LowRankGaussian(
-            mean, factor, diag_raw, num_pixels, 1, config.rank
+        eps_factor, eps_diag = draw_noise(
+            config.mc_samples, config.rank, num_pixels, noise_seed
         )
-        eps_factor, eps_diag = draw_noise(dist, config.mc_samples, noise_seed)
         try:
-            loss, grads = mc_loss_grads(
-                dist, data.maps[map_index], eps_factor, eps_diag
+            loss, grads = loss_and_grads(
+                mean, factor, diag_raw, data.maps[map_index], eps_factor, eps_diag
             )
         except OverflowSignal:
             stop_reason = "overflow_early_stop"

@@ -201,6 +201,20 @@ class TestToyEval:
         code = main(["toy-eval", "--model", str(bad), "--out", str(tmp_path)])
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["toy-eval", "sample"])
+    def test_model_dims_disagreeing_with_tensors_is_io_error(
+        self, trained_dir, tmp_path, capsys, command
+    ):
+        document = json.loads((trained_dir / "model.ssnt").read_text())
+        document["S"] += 1
+        bad = tmp_path / "bad.ssnt"
+        bad.write_text(json.dumps(document))
+        capsys.readouterr()
+        code = main([command, "--model", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
 
 class TestSampleAndManipulate:
     def test_sample_writes_label_map_files(self, trained_dir, tmp_path):
@@ -251,6 +265,16 @@ class TestSampleAndManipulate:
         )
         assert code == 2
 
+    def test_out_in_missing_directory_is_io_error(self, trained_dir, tmp_path, capsys):
+        capsys.readouterr()
+        code = main(
+            ["manipulate", "--model", str(trained_dir / "model.ssnt"),
+             "--scale", '{"per_class":[1.0]}',
+             "--out", str(tmp_path / "missing" / "x.ssnt")]
+        )
+        assert code == 4
+        assert_one_error_line(capsys)
+
 
 class TestMetricsCommand:
     def test_identical_directories_give_zero(self, trained_dir, tmp_path):
@@ -298,6 +322,17 @@ class TestMetricsCommand:
         assert code == 4
         assert_one_error_line(capsys)
 
+    def test_malformed_pgm_header_is_io_error(self, tmp_path, capsys):
+        maps = tmp_path / "maps"
+        maps.mkdir()
+        (maps / "a.pgm").write_bytes(b"P5\n3 x\n255\n")
+        code = main(
+            ["metrics", "--gt", str(maps), "--pred", str(maps),
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 4
+        assert_one_error_line(capsys)
+
     def test_missing_directory_is_io_error(self, tmp_path):
         code = main(
             ["metrics", "--gt", str(tmp_path / "none"),
@@ -320,6 +355,13 @@ class TestRankSweepCommand:
         assert [line.split(",")[0] for line in sweep_lines[1:]] == ["1", "2"]
         summary_lines = (out / "summary.csv").read_text().strip().splitlines()
         assert len(summary_lines) == 3
+
+    def test_non_finite_learning_rate_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = main(["rank-sweep", "--lr", "nan", "--out", str(out)])
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
 
     def test_bad_ranks_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,11 +1,42 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssn_lab import LabelMap, ValidationError
+from ssn_lab import LabelMap, LowRankGaussian, ValidationError
 from ssn_lab import formats
 from conftest import random_instance
+
+
+def load_mutated(loader, data: bytes, mutations, name: str):
+    """Overwrite bytes of ``data`` at (position, value) pairs, then load it;
+    the loader must return or raise ValidationError, nothing else."""
+    raw = bytearray(data)
+    for position, value in mutations:
+        if raw:
+            raw[position % len(raw)] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(bytes(raw))
+        try:
+            return loader(path)
+        except ValidationError:
+            return None
+
+
+# Arbitrary bytes, weighted towards JSON syntax so mutations reach the
+# document checks and not only the decoder.
+byte_mutations = st.lists(
+    st.tuples(
+        st.integers(0, 10_000),
+        st.one_of(st.integers(0, 255), st.sampled_from(b'-.0123456789eE"[]{}:,')),
+    ),
+    max_size=6,
+)
 
 
 class TestDistributionContainer:
@@ -69,6 +100,50 @@ class TestDistributionContainer:
         with pytest.raises(ValidationError):
             formats.load_distribution(path)
 
+    @pytest.mark.parametrize("key", ["S", "C", "R"])
+    def test_dims_disagreeing_with_tensors_rejected(self, tmp_path, key):
+        path = tmp_path / "model.ssnt"
+        formats.save_distribution(path, random_instance(4))
+        document = json.loads(path.read_text())
+        document[key] += 1
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValidationError, match="model.ssnt"):
+            formats.load_distribution(path)
+
+
+@pytest.mark.parametrize(
+    "loader", [formats.load_distribution, formats.load_label_map]
+)
+def test_non_utf8_bytes_rejected(tmp_path, loader):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"format": "SSNT\xff\xfe"}')
+    with pytest.raises(ValidationError, match="bad.json"):
+        loader(path)
+
+
+SMALL_MODEL = LowRankGaussian(
+    [0.5, -1.0, 2.0, 0.0], [[1.0], [0.0], [-2.5], [1e-3]], [0.1, -3.0, 0.0, 4.0],
+    2, 2, 1,
+)
+SMALL_MAP = LabelMap(labels=[1, 0, 2], num_classes=3, mask=[True, False, True])
+
+
+@pytest.mark.parametrize(
+    "save, load, value",
+    [
+        (formats.save_distribution, formats.load_distribution, SMALL_MODEL),
+        (formats.save_label_map, formats.load_label_map, SMALL_MAP),
+    ],
+    ids=["ssnt", "label_map"],
+)
+@settings(max_examples=300, deadline=None)
+@given(mutations=byte_mutations)
+def test_mutated_bytes_load_or_raise_validation_error(save, load, value, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        save(Path(tmp) / "doc.json", value)
+        data = (Path(tmp) / "doc.json").read_bytes()
+    load_mutated(load, data, mutations, "doc.json")
+
 
 class TestLabelMapFiles:
     def test_json_roundtrip_with_mask(self, tmp_path):
@@ -110,6 +185,27 @@ class TestLabelMapFiles:
         loaded, shape = formats.label_map_from_pgm(path)
         assert shape == [2, 3]
         assert np.array_equal(loaded.labels, labels.reshape(-1))
+
+    @pytest.mark.parametrize("header", [b"P5\n3 x\n255\n", b"P5\n3", b"P5\n# c"])
+    def test_malformed_pgm_header_rejected(self, tmp_path, header):
+        path = tmp_path / "map.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValidationError, match="map.pgm"):
+            formats.label_map_from_pgm(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.binary(max_size=40), st.binary(max_size=40).map(b"P5".__add__)),
+        byte_mutations,
+    )
+    def test_random_and_mutated_pgm_bytes_load_or_raise_validation_error(
+        self, data, mutations
+    ):
+        loaded = load_mutated(formats.label_map_from_pgm, data, [], "r.pgm")
+        assert loaded is None or isinstance(loaded[0], LabelMap)
+        valid = b"P5\n# map\n3 2\n255\n" + bytes([0, 255, 128, 127, 255, 0])
+        loaded = load_mutated(formats.label_map_from_pgm, valid, mutations, "m.pgm")
+        assert loaded is None or isinstance(loaded[0], LabelMap)
 
     def test_pgm_requires_binary_and_2d(self, tmp_path):
         multi = LabelMap(labels=np.array([0, 1, 2, 0]), num_classes=3)

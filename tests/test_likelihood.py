@@ -94,7 +94,9 @@ class TestMcLoss:
         labels = random_labels(2, dist.num_pixels, 1)
         result = ssn_mc_loss(dist, labels, num_samples=1, rng_seed=5)
         noise = result.noise
-        sample = reconstruct_samples(dist, noise.eps_factor, noise.eps_diag)[0]
+        sample = reconstruct_samples(
+            dist.mean, dist.factor, dist.diag_raw, noise.eps_factor, noise.eps_diag
+        )[0]
         assert result.value == pytest.approx(
             cross_entropy_loss(sample, labels), abs=1e-12
         )
@@ -212,7 +214,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_multiclass_gradient_against_finite_differences(self, seed):
-        from ssn_lab.likelihood import fixed_noise_loss_fn
+        from ssn_lab.likelihood import _mc_forward
         from ssn_lab.lowrank import draw_noise
 
         rng_labels = random_labels(seed, 4, 3, with_mask=True)
@@ -224,12 +226,16 @@ class TestGradients:
         dist = LowRankGaussian(
             params["mean"], params["factor"], params["diag_raw"], 4, 3, 2
         )
-        eps_factor, eps_diag = draw_noise(dist, 3, seed)
+        eps_factor, eps_diag = draw_noise(3, 2, 12, seed)
         grads = grad_ssn_mc_loss(
             dist, rng_labels, NoiseDraw(eps_factor, eps_diag, seed=seed)
         )
-        loss_fn = fixed_noise_loss_fn(rng_labels, 4, 3, 2, eps_factor, eps_diag)
-        numeric = finite_diff_grad(loss_fn, params)
+        numeric = finite_diff_grad(
+            lambda p: _mc_forward(
+                **p, labels=rng_labels, eps_factor=eps_factor, eps_diag=eps_diag
+            )[0],
+            params,
+        )
         for name, analytic in zip(("mean", "factor", "diag_raw"), grads):
             assert np.allclose(analytic, numeric[name], rtol=1e-4, atol=1e-7)
 

@@ -4,12 +4,14 @@ import pytest
 from ssn_lab import (
     DIAG_FLOOR,
     LowRankGaussian,
+    NumericalError,
     ShapeError,
     SizeGuardError,
     ValidationError,
     softplus,
     softplus_inv,
 )
+from ssn_lab.lowrank import _cholesky_with_jitter
 from conftest import random_instance
 
 STD_NORMAL_LOGPDF_AT_0 = -0.9189385332046727  # -0.5 * ln(2 pi)
@@ -239,6 +241,22 @@ class TestLogProb:
             dist.log_prob(np.zeros(dist.dim + 1))
         with pytest.raises(ValidationError):
             dist.log_prob(np.full(dist.dim, np.inf))
+
+
+class TestCapacitanceCholesky:
+    def test_jitter_retry_factorises_near_singular_matrix(self):
+        matrix = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(matrix)
+        chol = _cholesky_with_jitter(matrix)
+        assert np.all(np.isfinite(chol))
+        assert np.allclose(chol @ chol.T, matrix, rtol=0, atol=1e-9)
+
+    def test_indefinite_matrix_reports_eigenvalue_range(self):
+        with pytest.raises(
+            NumericalError, match=r"eigenvalue range \[-1\.000e\+00, 1\.000e\+00\]"
+        ):
+            _cholesky_with_jitter(np.diag([1.0, -1.0]))
 
 
 class TestDenseOracle:
