@@ -3,7 +3,8 @@ metrics, and gradient checks.
 
 Every subcommand is deterministic given its flags (seeds are flags). Exit
 codes: 0 success, 2 usage error, 3 pre-training divergence, 4 file/IO
-error, 5 check failure.
+error, 5 check failure. Commands raise; ``main`` alone turns an exception
+into an exit code and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -60,14 +60,8 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("SSN_LAB_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+class UsageError(Exception):
+    """A flag value the command cannot use (exit 2)."""
 
 
 def _write_json(path, payload) -> None:
@@ -85,27 +79,27 @@ def _write_csv(path, columns: list[str], rows: list[dict]) -> None:
             )
 
 
-def cmd_toy_train(args) -> int:
+def _train_config(args, **fixed) -> TrainConfig:
+    """The training configuration from the shared training flags plus the
+    fields a command sets itself."""
     try:
-        config = TrainConfig(
-            rank=args.rank,
+        return TrainConfig(
             mc_samples=args.mc_samples,
             iterations=args.iters,
             pretrain_iterations=args.pretrain_iters,
             learning_rate=args.lr,
             pretrain_learning_rate=args.pretrain_lr,
-            seed=args.seed,
+            **fixed,
         )
     except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(err)) from err
+
+
+def cmd_toy_train(args) -> int:
+    config = _train_config(args, rank=args.rank, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        report = train_toy(config, covariance_mode=args.mode)
-    except DivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    report = train_toy(config, covariance_mode=args.mode)
     formats.save_distribution(out / "model.ssnt", report.checkpoint)
     _write_json(
         out / "report.json",
@@ -118,12 +112,12 @@ def cmd_toy_train(args) -> int:
             "final_nll_per_map": report.final_nll_per_map,
         },
     )
-    with open(out / "loss.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "phase", "loss"])
-        for i, loss in enumerate(report.loss_trace):
-            phase = "pretrain" if i < report.phase_boundary else "joint"
-            writer.writerow([i, phase, repr(float(loss))])
+    losses = [
+        {"iteration": i, "phase": "pretrain" if i < report.phase_boundary else "joint",
+         "loss": loss}
+        for i, loss in enumerate(report.loss_trace.tolist())
+    ]
+    _write_csv(out / "loss.csv", ["iteration", "phase", "loss"], losses)
     print(
         f"{args.mode} model trained: stop_reason={report.stop_reason} "
         f"final_nll_per_map={report.final_nll_per_map:.4f} -> {out}"
@@ -135,9 +129,7 @@ def cmd_toy_eval(args) -> int:
     model = formats.load_distribution(args.model)
     if (model.num_pixels, model.num_classes) != (TOY_LENGTH, 1):
         got = f"{model.num_pixels} pixels x {model.num_classes} classes"
-        print(f"error: toy-eval needs {TOY_LENGTH} pixels x 1 class, got {got}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"toy-eval needs {TOY_LENGTH} pixels x 1 class, got {got}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     evaluation = evaluate_toy(
@@ -172,17 +164,7 @@ def cmd_toy_eval(args) -> int:
 
 
 def cmd_rank_sweep(args) -> int:
-    try:
-        config = TrainConfig(
-            mc_samples=args.mc_samples,
-            iterations=args.iters,
-            pretrain_iterations=args.pretrain_iters,
-            learning_rate=args.lr,
-            pretrain_learning_rate=args.pretrain_lr,
-        )
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = list(range(1, args.seeds + 1))
@@ -198,6 +180,10 @@ def cmd_rank_sweep(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not np.isfinite(args.threshold):
+        raise UsageError(f"--threshold must be finite, got {args.threshold}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     model = formats.load_distribution(args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -224,14 +210,11 @@ def cmd_manipulate(args) -> int:
             per_class=np.asarray(payload["per_class"], dtype=np.float64),
             global_temperature=float(payload.get("temperature", 1.0)),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-        print(f"error: bad --scale payload: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         scaled = apply_deviation_scale(model, scale)
-    except (ShapeError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    # ShapeError and ValidationError are ValueErrors. OverflowError comes from
+    # integers too large for a float, RecursionError from deeply nested JSON.
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as err:
+        raise UsageError(f"bad --scale payload: {err}") from err
     formats.save_distribution(args.out, scaled)
     print(f"wrote scaled model -> {args.out}")
     return EXIT_OK
@@ -359,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", type=_positive_int, default=5,
                        help="number of seeds (uses 1..N)")
     _add_train_flags(sweep)
-    sweep.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
-                       help="parallel workers (env SSN_LAB_JOBS)")
+    sweep.add_argument("--jobs", type=_positive_int, default=1,
+                       help="parallel workers")
     sweep.add_argument("--out", default="rank-sweep")
     sweep.set_defaults(func=cmd_rank_sweep)
 
@@ -409,15 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as err:
+        failure, code = err, EXIT_USAGE
+    except DivergenceError as err:
+        failure, code = err, EXIT_DIVERGENCE
     except (OSError, ShapeError, ValidationError) as err:
-        # Usage errors are caught where they arise; what reaches here comes
-        # from reading or writing files.
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        # What reaches here from a command comes from reading or writing files.
+        failure, code = err, EXIT_IO
+    print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

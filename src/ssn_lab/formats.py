@@ -153,7 +153,7 @@ def _write_pgm_bytes(path, image: np.ndarray) -> None:
 
 def _read_pgm_bytes(path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    if not raw.startswith(b"P5"):
+    if not (raw.startswith(b"P5") and raw[2:3].isspace()):
         raise ValidationError(f"not a binary PGM file: {path}")
     fields: list[bytes] = []
     pos = 2

@@ -87,6 +87,8 @@ class TrainConfig:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
         if self.mc_samples < 1:
             raise ValidationError(f"mc_samples must be >= 1, got {self.mc_samples}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for name in ("learning_rate", "pretrain_learning_rate", "overflow_threshold"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssn_lab import (
     DIAG_FLOOR,
@@ -58,7 +60,60 @@ def split_into_patches(dist, boundary):
     )
 
 
+@st.composite
+def grid_tilings(draw):
+    """Patches of an H x W image cut into a random rectangle grid, each
+    carrying its own random parameters."""
+    height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    num_classes = draw(st.sampled_from([1, 3]))
+    rank = draw(st.sampled_from([1, 2]))
+    row_cuts = sorted(draw(st.sets(st.integers(1, height))) | {0, height})
+    col_cuts = sorted(draw(st.sets(st.integers(1, width))) | {0, width})
+    rng = PortableRng(draw(st.integers(0, 2**32)))
+    patches = []
+    for top, bottom in zip(row_cuts, row_cuts[1:]):
+        for left, right in zip(col_cuts, col_cuts[1:]):
+            elements = (bottom - top) * (right - left) * num_classes
+            patches.append(
+                Patch(
+                    offset=(top, left),
+                    shape=(bottom - top, right - left),
+                    mean=rng.standard_normal(elements),
+                    factor=rng.standard_normal((elements, rank)),
+                    diag_raw=rng.standard_normal(elements),
+                )
+            )
+    pick = draw(st.integers(0, len(patches) - 1))
+    return patches, (height, width), num_classes, rank, pick
+
+
 class TestStitch:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_tilings())
+    def test_random_grid_tilings(self, tiling):
+        patches, full_shape, c, rank, pick = tiling
+
+        def params(tiles):
+            return PatchedParams(
+                patches=tiles, full_shape=full_shape, num_classes=c, rank=rank
+            )
+
+        stitched = stitch(params(patches))
+        mean = stitched.mean.reshape(*full_shape, c)
+        factor = stitched.factor.reshape(*full_shape, c, rank)
+        diag_raw = stitched.diag_raw.reshape(*full_shape, c)
+        for patch in patches:
+            (top, left), (rows, cols) = patch.offset, patch.shape
+            window = (slice(top, top + rows), slice(left, left + cols))
+            assert np.array_equal(mean[window].reshape(-1), patch.mean)
+            assert np.array_equal(factor[window].reshape(-1, rank), patch.factor)
+            assert np.array_equal(diag_raw[window].reshape(-1), patch.diag_raw)
+        if len(patches) > 1:
+            with pytest.raises(ValidationError, match="gap"):
+                stitch(params(patches[:pick] + patches[pick + 1 :]))
+        with pytest.raises(ValidationError, match="overlap"):
+            stitch(params(patches + [patches[pick]]))
+
     def test_single_patch_is_identity(self):
         dist = comfortable_dist(0)
         params = PatchedParams(

@@ -111,6 +111,13 @@ class TestToyTrain:
         assert code == 2
         assert_one_error_line(capsys)
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["toy-train", "--seed", "-1", "--out", str(out), *QUICK_TRAIN])
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_golden_loss_trace(self, tmp_path):
         """Same flags, same bytes: the seed-1 short run reproduces the
         recorded loss trace exactly."""
@@ -230,6 +237,23 @@ class TestSampleAndManipulate:
         assert shape == [21]
         assert set(np.unique(label_map.labels)).issubset({0, 1})
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--threshold", "nan"], ["--threshold", "inf"], ["--threshold=-inf"],
+         ["--seed", "-1"]],
+    )
+    def test_unusable_sample_flags_are_usage_errors(
+        self, trained_dir, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "samples"
+        code = main(
+            ["sample", "--model", str(trained_dir / "model.ssnt"), *flags,
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_identity_manipulation_is_bit_identical(self, trained_dir, tmp_path):
         out = tmp_path / "scaled.ssnt"
         code = main(
@@ -257,6 +281,23 @@ class TestSampleAndManipulate:
              "--scale", "{broken", "--out", str(tmp_path / "x.ssnt")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "scale",
+        ["[" * 20_000 + "]" * 20_000,
+         '{"per_class":[1.0],"temperature":1' + "0" * 400 + "}"],
+        ids=["nested", "huge-int"],
+    )
+    def test_unusable_scale_payload_is_usage_error(
+        self, trained_dir, tmp_path, capsys, scale
+    ):
+        capsys.readouterr()
+        code = main(
+            ["manipulate", "--model", str(trained_dir / "model.ssnt"),
+             "--scale", scale, "--out", str(tmp_path / "x.ssnt")]
+        )
+        assert code == 2
+        assert_one_error_line(capsys)
 
     def test_wrong_class_count_is_usage_error(self, trained_dir, tmp_path):
         code = main(

@@ -186,7 +186,9 @@ class TestLabelMapFiles:
         assert shape == [2, 3]
         assert np.array_equal(loaded.labels, labels.reshape(-1))
 
-    @pytest.mark.parametrize("header", [b"P5\n3 x\n255\n", b"P5\n3", b"P5\n# c"])
+    @pytest.mark.parametrize(
+        "header", [b"P5\n3 x\n255\n", b"P5\n3", b"P5\n# c", b"P53 2\n255\n" + bytes(6)]
+    )
     def test_malformed_pgm_header_rejected(self, tmp_path, header):
         path = tmp_path / "map.pgm"
         path.write_bytes(header)

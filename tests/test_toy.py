@@ -110,6 +110,7 @@ class TestTraining:
             dict(pretrain_learning_rate=float("nan")),
             dict(overflow_threshold=float("inf")),
             dict(overflow_threshold=float("nan")),
+            dict(seed=-1),
         ],
     )
     def test_config_validation(self, kwargs):
