@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from ssn_lab import (
     LabelMap,
     LowRankGaussian,
     NoiseDraw,
+    OverflowSignal,
+    PortableRng,
     ShapeError,
     ValidationError,
     cross_entropy_loss,
@@ -13,9 +17,10 @@ from ssn_lab import (
     gradient_check_suite,
     label_log_likelihood,
     make_toy_dataset,
+    mix_seed,
     ssn_mc_loss,
 )
-from ssn_lab.lowrank import reconstruct_samples
+from ssn_lab.lowrank import draw_noise, reconstruct_samples
 from conftest import random_instance, random_labels
 
 
@@ -238,6 +243,137 @@ class TestGradients:
         )
         for name, analytic in zip(("mean", "factor", "diag_raw"), grads):
             assert np.allclose(analytic, numeric[name], rtol=1e-4, atol=1e-7)
+
+
+class TestOverflowContract:
+    """A non-finite logit sample on a scored pixel makes its log-likelihood
+    non-finite, and the forward pass raises ``OverflowSignal``: the toy
+    trainer turns that into ``overflow_early_stop``."""
+
+    @staticmethod
+    def kernel_args(num_classes, poison, mask=None):
+        labels = LabelMap(
+            labels=np.array([0, 1, 1, 0]), num_classes=num_classes, mask=mask
+        )
+        dim = 4 * num_classes
+        mean = np.linspace(-1.0, 1.0, dim)
+        for index, value in poison:
+            mean[index] = value
+        eps_factor, eps_diag = draw_noise(3, 2, dim, 5)
+        return dict(
+            mean=mean,
+            factor=np.full((dim, 2), 0.1),
+            diag_raw=np.zeros(dim),
+            labels=labels,
+            eps_factor=eps_factor,
+            eps_diag=eps_diag,
+        )
+
+    # (num_classes, [(flat index, value)]): class blocks are pixel-major;
+    # -inf sits on a labelled class, since -inf elsewhere is probability 0.
+    CASES = {
+        "categorical+inf": (3, [(4, np.inf)]),
+        "categorical-inf": (3, [(4, -np.inf)]),
+        "categorical-nan": (3, [(5, np.nan)]),
+        "categorical-all-inf": (3, [(3, np.inf), (4, np.inf), (5, np.inf)]),
+        "bernoulli+inf": (1, [(0, np.inf)]),
+        "bernoulli-inf": (1, [(1, -np.inf)]),
+        "bernoulli-nan": (1, [(2, np.nan)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_non_finite_sample_raises(self, case):
+        from ssn_lab.likelihood import _mc_forward, loss_and_grads
+
+        args = self.kernel_args(*self.CASES[case])
+        with pytest.raises(OverflowSignal):
+            _mc_forward(**args)
+        with pytest.raises(OverflowSignal):
+            loss_and_grads(**args)
+
+    @pytest.mark.parametrize("num_classes", [1, 3])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_masked_pixel_is_ignored(self, num_classes, value):
+        from ssn_lab.likelihood import loss_and_grads
+
+        mask = np.array([True, False, True, True])
+        args = self.kernel_args(num_classes, [(num_classes, value)], mask)
+        with np.errstate(invalid="ignore"):
+            loss, grads = loss_and_grads(**args)
+        assert np.isfinite(loss)
+        block = slice(num_classes, 2 * num_classes)
+        for grad in grads:
+            assert np.all(np.isfinite(grad))
+            assert np.all(grad[block] == 0.0)
+
+
+def paper_size_case(num_classes, seed):
+    """The paper's size, 128x128 pixels at rank 10, with ~10% of the
+    pixels masked out. Logit noise is small enough that several of the 20
+    samples carry weight in the gradient (effective sample size 5-11)."""
+    rng = PortableRng(mix_seed(seed, num_classes))
+    pixels, rank = 128 * 128, 10
+    dim = pixels * num_classes
+    dist = LowRankGaussian(
+        rng.standard_normal(dim),
+        0.005 * rng.standard_normal((dim, rank)),
+        rng.standard_normal(dim) - 12.0,
+        pixels,
+        num_classes,
+        rank,
+    )
+    labels = LabelMap(
+        labels=rng.integers(0, max(num_classes, 2), size=pixels),
+        num_classes=num_classes,
+        mask=rng.uniform_open(pixels) >= 0.1,
+    )
+    return dist, labels
+
+
+# SHA-256 of the exact bytes of the loss, the per-sample log-likelihoods and
+# the three gradients at 20 samples, recorded before the categorical
+# likelihood became a one-pass kernel. The Bernoulli case guards the
+# summation layout of its masked rows.
+GOLDEN_PAPER_DIGESTS = {
+    (1, 3): {
+        "value": "cdf08a513698c4e7f89a1dd142dc7ec34f97c6d6e1c543c9d415a909695aa3a3",
+        "per_sample_loglik": "11a3e33054484119226ce4e6af3d5c29b760ce35353384bf7276cf206f09c0bf",
+        "mean": "b5e91dfc3484c00862dc607dad203733a8340884b417c95bdcabe2456e29a600",
+        "factor": "7d4d69f11d23cbe36124712ad7d2964bcff8f1e04af62e2aae20fba723d5ec13",
+        "diag_raw": "60cac4b42e3f88a6892e6e6314ba5e5a9c5ceb831a5321204ca593e576900521",
+    },
+    (2, 1): {
+        "value": "d167a2e11dcdc3a9e2bef7ff4b0533383c22c084c6dc27bb8d126e39fcd94343",
+        "per_sample_loglik": "cc6dd49c3b6fc39af15665530936a8630a5491665975b95c084d24fb10d7e90c",
+        "mean": "07c66adbc8dfb35af484a943268732db8f3a0712306d1510802c2c021a828805",
+        "factor": "24f81a2e6e8d3a21932c74952ba0ecd7ad2507e2d374225a2ce482cb9a40c520",
+        "diag_raw": "ebf403dc30ee805d9de9336111c0d232ac779107d4e3ee13c8a8498a8a98e053",
+    },
+    (4, 2): {
+        "value": "38b054174761fed7813c6aead7b112efa4ec29797698dbc92575c0cb50f55ca6",
+        "per_sample_loglik": "c3ece09ed97858896dd83c2edecf5de7ef6f0dd9a4b14baa8469495bf7c30a11",
+        "mean": "d16b5bb0bc25bc3bb00eba79ed726f9f1f0f051251096c4b4417dfddaca57774",
+        "factor": "877974bf7add9e778e9220771b19a3c2e131128a620c78bb9e0b6f8d9c73ad15",
+        "diag_raw": "004936205a3e0896c27a54b080522d46072f05528fc8dce9b700996cc60da039",
+    },
+}
+
+
+@pytest.mark.parametrize("num_classes,seed", sorted(GOLDEN_PAPER_DIGESTS))
+def test_golden_paper_size_bits(num_classes, seed):
+    dist, labels = paper_size_case(num_classes, seed)
+    loss = ssn_mc_loss(dist, labels, 20, rng_seed=seed)
+    grads = grad_ssn_mc_loss(dist, labels, loss.noise)
+    arrays = {
+        "value": np.float64(loss.value),
+        "per_sample_loglik": loss.per_sample_loglik,
+        **grads._asdict(),
+    }
+    digests = {
+        name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for name, a in arrays.items()
+    }
+    assert digests == GOLDEN_PAPER_DIGESTS[num_classes, seed]
 
 
 class TestFiniteDifferences:
