@@ -10,12 +10,13 @@ gradient.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import OverflowSignal, ShapeError, ValidationError
 from .lowrank import (
@@ -107,23 +108,59 @@ def _check_logits(logits, labels: LabelMap) -> np.ndarray:
     return x
 
 
-def batch_label_loglik(logit_rows: np.ndarray, labels: LabelMap) -> np.ndarray:
-    """Per-row label log-likelihood for a [n, num_pixels * num_classes] batch."""
+def _logsumexp(x: np.ndarray):
+    """``scipy.special.logsumexp(x, axis=-1)`` to the bit, by its operations
+    (Blanchard, Higham & Higham 2021): sum ``exp(x - max)`` over all but the
+    ``m`` maxima, divide by ``m``, return ``log1p(s) + log(m) + max``. Over
+    a short last axis, max and ``m`` fold over its slices, exact and far
+    quicker than numpy's reduction. Also returns ``rest``, ``exp(x - max)``
+    with the maxima zeroed, and ``ismax``: ``rest + ismax == exp(x - max)``.
+    """
+    with np.errstate(all="ignore"):
+        if x.ndim == 1:
+            top = x.max()
+            ismax = x == top
+            count = np.count_nonzero(ismax)
+        else:
+            top = functools.reduce(np.maximum, np.moveaxis(x, -1, 0))
+            ismax = x == top[..., None]
+            count = functools.reduce(np.add, np.moveaxis(ismax, -1, 0), 0)
+        rest = np.exp(x - top[..., None])
+        np.putmask(rest, ismax, 0.0)
+        s = rest.sum(axis=-1) / count
+        return np.log1p(s) + np.log(count) + top, rest, ismax
+
+
+def _label_terms(logit_rows: np.ndarray, labels: LabelMap):
+    """Per-row label log-likelihood of a [n, num_pixels * num_classes]
+    batch and, for two or more classes, each pixel's softmax numerator
+    ``exp(eta - max)`` [n, num_pixels, num_classes] (None for one logit)."""
+    n = logit_rows.shape[0]
     active = labels.active_mask()
-    if not active.any():
-        warnings.warn("all pixels masked out; log-likelihood is an empty sum")
-        return np.zeros(logit_rows.shape[0])
-    y = labels.labels[active]
     if labels.num_classes == 1:
+        # The F-ordered [n, active] copy sums each row pixel by pixel, in
+        # order; a C-contiguous one would sum pairwise, to other bits.
         eta = logit_rows[:, active]
         # log sigmoid(eta) = -softplus(-eta); label 0 flips the sign of eta
-        sign = np.where(y == 1, 1.0, -1.0)
-        return -np.logaddexp(0.0, -sign[None, :] * eta).sum(axis=1)
-    n = logit_rows.shape[0]
-    eta = logit_rows.reshape(n, labels.num_pixels, labels.num_classes)[:, active, :]
-    log_norm = logsumexp(eta, axis=2)
-    picked = np.take_along_axis(eta, y[None, :, None], axis=2)[:, :, 0]
-    return (picked - log_norm).sum(axis=1)
+        sign = np.where(labels.labels[active] == 1, 1.0, -1.0)
+        terms, numer = -np.logaddexp(0.0, -sign[None, :] * eta), None
+    else:
+        eta = logit_rows.reshape(n, labels.num_pixels, labels.num_classes)
+        log_norm, numer, ismax = _logsumexp(eta)
+        numer += ismax
+        picked = np.take_along_axis(eta, labels.labels[None, :, None], axis=2)
+        # Each row sums pairwise over a C-contiguous [n, active] copy; the
+        # plain, F-ordered one would sum in order, to other bits.
+        terms = np.ascontiguousarray((picked[:, :, 0] - log_norm)[:, active])
+    if not active.any():
+        warnings.warn("all pixels masked out; log-likelihood is an empty sum")
+        return np.zeros(n), numer
+    return terms.sum(axis=1), numer
+
+
+def batch_label_loglik(logit_rows: np.ndarray, labels: LabelMap) -> np.ndarray:
+    """Per-row label log-likelihood for a [n, num_pixels * num_classes] batch."""
+    return _label_terms(logit_rows, labels)[0]
 
 
 def label_log_likelihood(logits, labels: LabelMap) -> float:
@@ -145,18 +182,19 @@ def _check_agreement(dist: LowRankGaussian, labels: LabelMap) -> None:
         )
 
 
-def _mc_forward(
-    mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss value, per-sample log-likelihoods and logit samples for fixed
-    noise: the one forward pass behind the loss, its gradient and the
-    finite-difference oracle."""
+def _mc_forward(mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag):
+    """Loss value, per-sample log-likelihoods, their softmax weights, logit
+    samples and categorical softmax numerators for fixed noise: the one
+    forward pass behind the loss, its gradient and the finite-difference
+    oracle."""
     samples = reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag)
-    loglik = batch_label_loglik(samples, labels)
+    loglik, numer = _label_terms(samples, labels)
     if not np.all(np.isfinite(loglik)):
         raise OverflowSignal("non-finite per-sample log-likelihood")
-    value = float(-logsumexp(loglik) + np.log(loglik.size))
-    return value, loglik, samples
+    lse, rest, ismax = _logsumexp(loglik)
+    weights = rest + ismax
+    weights /= weights.sum()
+    return float(-lse + np.log(loglik.size)), loglik, weights, samples, numer
 
 
 def ssn_mc_loss(
@@ -173,37 +211,11 @@ def ssn_mc_loss(
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
     _check_agreement(dist, labels)
     eps_factor, eps_diag = draw_noise(num_samples, dist.rank, dist.dim, rng_seed)
-    value, loglik, _ = _mc_forward(
+    value, loglik, *_ = _mc_forward(
         dist.mean, dist.factor, dist.diag_raw, labels, eps_factor, eps_diag
     )
     noise = NoiseDraw(eps_factor, eps_diag, int(rng_seed))
     return LossValue(value=value, per_sample_loglik=loglik, noise=noise)
-
-
-def _per_sample_residual(
-    samples: np.ndarray, labels: LabelMap, weights: np.ndarray
-) -> np.ndarray:
-    """softmax-weighted (predicted probability - one-hot label) per element.
-
-    This is the derivative of the logsumexp loss with respect to each logit
-    sample; masked pixels contribute exact zeros.
-    """
-    n = samples.shape[0]
-    active = labels.active_mask()
-    if labels.num_classes == 1:
-        probs = expit(samples)
-        residual = probs - labels.labels[None, :].astype(np.float64)
-        residual[:, ~active] = 0.0
-        return weights[:, None] * residual
-    eta = samples.reshape(n, labels.num_pixels, labels.num_classes)
-    shifted = eta - eta.max(axis=2, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=2, keepdims=True)
-    one_hot = np.zeros((labels.num_pixels, labels.num_classes))
-    one_hot[np.arange(labels.num_pixels), labels.labels] = 1.0
-    residual = probs - one_hot[None, :, :]
-    residual[:, ~active, :] = 0.0
-    return (weights[:, None, None] * residual).reshape(n, -1)
 
 
 def loss_and_grads(
@@ -214,13 +226,19 @@ def loss_and_grads(
     The unvalidated kernel behind ``grad_ssn_mc_loss`` and the toy trainer:
     callers guarantee consistent shapes and finite parameters.
     """
-    value, loglik, samples = _mc_forward(
+    value, _, weights, samples, numer = _mc_forward(
         mean, factor, diag_raw, labels, eps_factor, eps_diag
     )
-    shifted = loglik - loglik.max()
-    weights = np.exp(shifted)
-    weights /= weights.sum()
-    residual = _per_sample_residual(samples, labels, weights)
+    # d loss / d sample: weighted (predicted probability - one-hot label),
+    # exactly 0 on masked pixels; the forward's softmax numerator is reused.
+    if numer is None:  # one logit: the sigmoid against label 1
+        probs, classes = expit(samples)[:, :, None], 1
+    else:
+        numer /= numer.sum(axis=2, keepdims=True)
+        probs, classes = numer, np.arange(labels.num_classes)
+    residual = probs - (labels.labels[:, None] == classes)
+    residual[:, ~labels.active_mask()] = 0.0
+    residual = (weights[:, None, None] * residual).reshape(samples.shape[0], -1)
     grad_mean = residual.sum(axis=0)
     grad_factor = residual.T @ eps_factor
     d = softplus(diag_raw) + DIAG_FLOOR

@@ -106,6 +106,13 @@ class TrainReport:
     final_nll_per_map: float
 
 
+def _within_bounds(threshold: float, *arrays: np.ndarray) -> bool:
+    return all(
+        np.all(np.isfinite(a)) and np.max(np.abs(a), initial=0.0) <= threshold
+        for a in arrays
+    )
+
+
 def _pretrain_mean(
     mean: np.ndarray, data: ToyDataset, config: TrainConfig, trace: list[float]
 ) -> np.ndarray:
@@ -118,19 +125,12 @@ def _pretrain_mean(
         probs = expit(mean)
         grad = 0.5 * ((probs - targets[0]) + (probs - targets[1]))
         mean = mean - config.pretrain_learning_rate * grad
-        if not np.all(np.isfinite(mean)):
+        if not _within_bounds(config.overflow_threshold, mean):
             raise DivergenceError(
-                "mean pre-training produced non-finite values; lower the "
-                "pre-training learning rate"
+                "mean pre-training left the overflow bound "
+                f"{config.overflow_threshold:g}; lower the pre-training learning rate"
             )
     return mean
-
-
-def _within_bounds(threshold: float, *arrays: np.ndarray) -> bool:
-    return all(
-        np.all(np.isfinite(a)) and np.max(np.abs(a), initial=0.0) <= threshold
-        for a in arrays
-    )
 
 
 def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainReport:

@@ -128,6 +128,16 @@ class TestToyTrain:
         assert code == 0
         assert read_losses(tmp_path / "loss.csv") == read_losses(REFERENCE_TRACE)
 
+    def test_huge_pretraining_rate_is_divergence(self, tmp_path, capsys):
+        """A finite rate that throws the mean past the overflow bound is a
+        divergence, not a useless model with exit 0."""
+        code = main(
+            ["toy-train", "--pretrain-lr", "1e300", "--pretrain-iters", "50",
+             "--iters", "10", "--out", str(tmp_path)]
+        )
+        assert code == 3
+        assert_one_error_line(capsys)
+
     def test_pretraining_divergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         import ssn_lab.cli as cli_module
 

@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from ssn_lab import (
     LabelMap,
@@ -243,6 +246,57 @@ class TestGradients:
         )
         for name, analytic in zip(("mean", "factor", "diag_raw"), grads):
             assert np.allclose(analytic, numeric[name], rtol=1e-4, atol=1e-7)
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLogsumexpKernel:
+    """The in-house logsumexp does scipy's operations, so it must return
+    scipy's bytes; scipy stays here as the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-np.inf, -2.5, 0.0, 0.5, 3.0]),
+                st.floats(-1e3, 1e3),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_vector_matches_scipy(self, values):
+        from ssn_lab.likelihood import _logsumexp
+
+        x = np.array(values)
+        assert same_bytes(_logsumexp(x)[0], logsumexp(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 4, 8, 9]),
+        st.integers(1, 5),
+        st.integers(1, 300),
+        st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+    )
+    def test_class_blocks_match_scipy(self, seed, classes, n, pixels, scale):
+        """C on both sides of numpy's 8-wide pairwise sum block, with ties
+        and -inf entries forced into many pixels."""
+        from ssn_lab.likelihood import _logsumexp
+
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((n, pixels, classes))
+        tie = rng.random((n, pixels, classes)) < 0.3
+        x[tie] = x[..., :1].repeat(classes, axis=2)[tie]
+        x[rng.random((n, pixels, classes)) < 0.1] = -np.inf
+        x[..., -1] = np.where(np.isinf(x).all(axis=2), 1.0, x[..., -1])
+        lse, rest, ismax = _logsumexp(x)
+        assert same_bytes(lse, logsumexp(x, axis=2))
+        assert same_bytes(rest + ismax, np.exp(x - x.max(axis=2, keepdims=True)))
 
 
 class TestOverflowContract:
