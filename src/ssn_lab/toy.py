@@ -106,13 +106,6 @@ class TrainReport:
     final_nll_per_map: float
 
 
-def _within_bounds(threshold: float, *arrays: np.ndarray) -> bool:
-    return all(
-        np.all(np.isfinite(a)) and np.max(np.abs(a), initial=0.0) <= threshold
-        for a in arrays
-    )
-
-
 def _pretrain_mean(
     mean: np.ndarray, data: ToyDataset, config: TrainConfig, trace: list[float]
 ) -> np.ndarray:
@@ -131,6 +124,13 @@ def _pretrain_mean(
                 f"{config.overflow_threshold:g}; lower the pre-training learning rate"
             )
     return mean
+
+
+def _within_bounds(threshold: float, *arrays: np.ndarray) -> bool:
+    return all(
+        np.all(np.isfinite(a)) and np.max(np.abs(a), initial=0.0) <= threshold
+        for a in arrays
+    )
 
 
 def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainReport:
