@@ -97,9 +97,9 @@ def _train_config(args, **fixed) -> TrainConfig:
 
 def cmd_toy_train(args) -> int:
     config = _train_config(args, rank=args.rank, seed=args.seed)
+    report = train_toy(config, covariance_mode=args.mode)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = train_toy(config, covariance_mode=args.mode)
     formats.save_distribution(out / "model.ssnt", report.checkpoint)
     _write_json(
         out / "report.json",

@@ -108,6 +108,17 @@ def _check_logits(logits, labels: LabelMap) -> np.ndarray:
     return x
 
 
+def _sum_last_axis(x: np.ndarray):
+    """``x.sum(axis=-1)`` to the bit. Under 8 terms numpy adds them left to
+    right onto +0.0: a fold over the last axis's slices does the same at a
+    tenth of the cost, its trailing ``+ 0.0`` turning an all-``-0.0`` row's
+    ``-0.0`` into numpy's ``+0.0``. From 8 terms on numpy sums in unrolled
+    pairwise blocks, which a fold would not repeat."""
+    if x.shape[-1] >= 8:
+        return x.sum(axis=-1)
+    return functools.reduce(np.add, np.moveaxis(x, -1, 0)) + 0.0
+
+
 def _logsumexp(x: np.ndarray):
     """``scipy.special.logsumexp(x, axis=-1)`` to the bit, by its operations
     (Blanchard, Higham & Higham 2021): sum ``exp(x - max)`` over all but the
@@ -127,7 +138,7 @@ def _logsumexp(x: np.ndarray):
             count = functools.reduce(np.add, np.moveaxis(ismax, -1, 0), 0)
         rest = np.exp(x - top[..., None])
         np.putmask(rest, ismax, 0.0)
-        s = rest.sum(axis=-1) / count
+        s = _sum_last_axis(rest) / count
         return np.log1p(s) + np.log(count) + top, rest, ismax
 
 
@@ -137,21 +148,25 @@ def _label_terms(logit_rows: np.ndarray, labels: LabelMap):
     ``exp(eta - max)`` [n, num_pixels, num_classes] (None for one logit)."""
     n = logit_rows.shape[0]
     active = labels.active_mask()
-    if labels.num_classes == 1:
-        # The F-ordered [n, active] copy sums each row pixel by pixel, in
-        # order; a C-contiguous one would sum pairwise, to other bits.
-        eta = logit_rows[:, active]
-        # log sigmoid(eta) = -softplus(-eta); label 0 flips the sign of eta
-        sign = np.where(labels.labels[active] == 1, 1.0, -1.0)
-        terms, numer = -np.logaddexp(0.0, -sign[None, :] * eta), None
-    else:
-        eta = logit_rows.reshape(n, labels.num_pixels, labels.num_classes)
-        log_norm, numer, ismax = _logsumexp(eta)
-        numer += ismax
-        picked = np.take_along_axis(eta, labels.labels[None, :, None], axis=2)
-        # Each row sums pairwise over a C-contiguous [n, active] copy; the
-        # plain, F-ordered one would sum in order, to other bits.
-        terms = np.ascontiguousarray((picked[:, :, 0] - log_norm)[:, active])
+    # A non-finite sample makes a nan or an inf - inf here; the forward
+    # pass's finiteness check raises OverflowSignal for it, and numpy's
+    # invalid-value warning would only come before it as noise.
+    with np.errstate(invalid="ignore"):
+        if labels.num_classes == 1:
+            # The F-ordered [n, active] copy sums each row pixel by pixel, in
+            # order; a C-contiguous one would sum pairwise, to other bits.
+            eta = logit_rows[:, active]
+            # log sigmoid(eta) = -softplus(-eta); label 0 flips the sign of eta
+            sign = np.where(labels.labels[active] == 1, 1.0, -1.0)
+            terms, numer = -np.logaddexp(0.0, -sign[None, :] * eta), None
+        else:
+            eta = logit_rows.reshape(n, labels.num_pixels, labels.num_classes)
+            log_norm, numer, ismax = _logsumexp(eta)
+            numer += ismax
+            picked = np.take_along_axis(eta, labels.labels[None, :, None], axis=2)
+            # Each row sums pairwise over a C-contiguous [n, active] copy; the
+            # plain, F-ordered one would sum in order, to other bits.
+            terms = np.ascontiguousarray((picked[:, :, 0] - log_norm)[:, active])
     if not active.any():
         warnings.warn("all pixels masked out; log-likelihood is an empty sum")
         return np.zeros(n), numer
@@ -183,10 +198,11 @@ def _check_agreement(dist: LowRankGaussian, labels: LabelMap) -> None:
 
 
 def _mc_forward(mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag):
-    """Loss value, per-sample log-likelihoods, their softmax weights, logit
-    samples and categorical softmax numerators for fixed noise: the one
-    forward pass behind the loss, its gradient and the finite-difference
-    oracle."""
+    """Loss value, per-sample log-likelihoods, their softmax weights and the
+    one array the backward pass reads, for fixed noise: the logit samples
+    for one logit, the softmax numerators [n, num_pixels, num_classes] for
+    two or more classes. The one forward pass behind the loss, its gradient
+    and the finite-difference oracle."""
     samples = reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag)
     loglik, numer = _label_terms(samples, labels)
     if not np.all(np.isfinite(loglik)):
@@ -194,7 +210,29 @@ def _mc_forward(mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag):
     lse, rest, ismax = _logsumexp(loglik)
     weights = rest + ismax
     weights /= weights.sum()
-    return float(-lse + np.log(loglik.size)), loglik, weights, samples, numer
+    value = float(-lse + np.log(loglik.size))
+    return value, loglik, weights, samples if numer is None else numer
+
+
+def _mc_backward(diag_raw, labels: LabelMap, eps_factor, eps_diag, weights, block):
+    """Exact gradient from the forward pass's weights and ``block`` (see
+    ``_mc_forward``). Normalises a softmax ``block`` in place."""
+    # d loss / d sample: weighted (predicted probability - one-hot label),
+    # exactly 0 on masked pixels.
+    if labels.num_classes == 1:  # the sigmoid against label 1
+        probs, classes = expit(block)[:, :, None], 1
+    else:
+        block /= _sum_last_axis(block)[..., None]
+        probs, classes = block, np.arange(labels.num_classes)
+    residual = probs - (labels.labels[:, None] == classes)
+    residual[:, ~labels.active_mask()] = 0.0
+    residual = (weights[:, None, None] * residual).reshape(weights.size, -1)
+    grad_mean = residual.sum(axis=0)
+    grad_factor = residual.T @ eps_factor
+    d = softplus(diag_raw) + DIAG_FLOOR
+    sqrt_d_deriv = 0.5 / np.sqrt(d) * expit(diag_raw)
+    grad_diag_raw = (residual * eps_diag).sum(axis=0) * sqrt_d_deriv
+    return ParamGrads(grad_mean, grad_factor, grad_diag_raw)
 
 
 def ssn_mc_loss(
@@ -205,16 +243,20 @@ def ssn_mc_loss(
     Draws ``num_samples`` logit maps, scores the labels under each, and
     reduces with a logsumexp in ascending sample order:
     ``-logsumexp_m(loglik_m) + log(num_samples)``. The noise draws are
-    returned so the gradient can be evaluated on identical samples.
+    returned so the gradient can be evaluated on identical samples; the
+    first ``grad_ssn_mc_loss`` on them with this same ``dist`` and
+    ``labels`` reuses this forward pass.
     """
     if num_samples < 1:
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
     _check_agreement(dist, labels)
     eps_factor, eps_diag = draw_noise(num_samples, dist.rank, dist.dim, rng_seed)
-    value, loglik, *_ = _mc_forward(
+    value, loglik, weights, block = _mc_forward(
         dist.mean, dist.factor, dist.diag_raw, labels, eps_factor, eps_diag
     )
     noise = NoiseDraw(eps_factor, eps_diag, int(rng_seed))
+    # A plain attribute, not a field: out of repr, equality and replace().
+    object.__setattr__(noise, "_forward", (dist, labels, weights, block))
     return LossValue(value=value, per_sample_loglik=loglik, noise=noise)
 
 
@@ -226,25 +268,10 @@ def loss_and_grads(
     The unvalidated kernel behind ``grad_ssn_mc_loss`` and the toy trainer:
     callers guarantee consistent shapes and finite parameters.
     """
-    value, _, weights, samples, numer = _mc_forward(
+    value, _, weights, block = _mc_forward(
         mean, factor, diag_raw, labels, eps_factor, eps_diag
     )
-    # d loss / d sample: weighted (predicted probability - one-hot label),
-    # exactly 0 on masked pixels; the forward's softmax numerator is reused.
-    if numer is None:  # one logit: the sigmoid against label 1
-        probs, classes = expit(samples)[:, :, None], 1
-    else:
-        numer /= numer.sum(axis=2, keepdims=True)
-        probs, classes = numer, np.arange(labels.num_classes)
-    residual = probs - (labels.labels[:, None] == classes)
-    residual[:, ~labels.active_mask()] = 0.0
-    residual = (weights[:, None, None] * residual).reshape(samples.shape[0], -1)
-    grad_mean = residual.sum(axis=0)
-    grad_factor = residual.T @ eps_factor
-    d = softplus(diag_raw) + DIAG_FLOOR
-    sqrt_d_deriv = 0.5 / np.sqrt(d) * expit(diag_raw)
-    grad_diag_raw = (residual * eps_diag).sum(axis=0) * sqrt_d_deriv
-    return value, ParamGrads(grad_mean, grad_factor, grad_diag_raw)
+    return value, _mc_backward(diag_raw, labels, eps_factor, eps_diag, weights, block)
 
 
 def grad_ssn_mc_loss(
@@ -257,6 +284,10 @@ def grad_ssn_mc_loss(
     per-sample logit gradient is w_m * (probs - one_hot); the mean picks it
     up directly, the factor through an outer product with the factor noise,
     and diag_raw through d sqrt(D)/d diag_raw = sigmoid(diag_raw)/(2 sqrt(D)).
+
+    The first call on noise from ``ssn_mc_loss`` with the very same
+    ``dist`` and ``labels`` objects reuses that call's forward pass; any
+    other call recomputes it, to the same bits.
     """
     _check_agreement(dist, labels)
     eps_factor, eps_diag = noise.eps_factor, noise.eps_diag
@@ -266,6 +297,10 @@ def grad_ssn_mc_loss(
             f"noise shaped {eps_factor.shape}/{eps_diag.shape} does not match "
             f"[n >= 1, rank {dist.rank}] / [n >= 1, dim {dist.dim}]"
         )
+    # Popped, so the in-place backward runs at most once on the record.
+    record = vars(noise).pop("_forward", None)
+    if record is not None and record[0] is dist and record[1] is labels:
+        return _mc_backward(dist.diag_raw, labels, eps_factor, eps_diag, *record[2:])
     _, grads = loss_and_grads(
         dist.mean, dist.factor, dist.diag_raw, labels, eps_factor, eps_diag
     )

@@ -15,6 +15,7 @@ Cholesky route is provided as an independent oracle for verification.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,9 @@ class NoiseDraw:
     """Standard-normal variates behind ``n`` reparameterised samples, one row each.
 
     Recording these lets a loss evaluation and its gradient (or a
-    finite-difference check) reuse exactly the same randomness.
+    finite-difference check) reuse exactly the same randomness. An instance
+    returned by ``ssn_mc_loss`` also carries a private, one-shot record of
+    that forward pass, which ``grad_ssn_mc_loss`` takes.
     """
 
     eps_factor: np.ndarray  # [n, rank]
@@ -176,12 +179,15 @@ class LowRankGaussian:
 
 
 def draw_noise(n: int, rank: int, dim: int, seed: int):
-    """Standard-normal noise for ``n`` samples: ([n, rank], [n, dim])."""
+    """Standard-normal noise for ``n`` samples: ([n, rank], [n, dim]), both
+    read-only, so a loss and its gradient see the same draws."""
     rng = PortableRng(seed)
     block = rng.standard_normal((n, rank + dim))
-    return np.ascontiguousarray(block[:, :rank]), np.ascontiguousarray(
-        block[:, rank:]
-    )
+    eps_factor = np.ascontiguousarray(block[:, :rank])
+    eps_diag = np.ascontiguousarray(block[:, rank:])
+    eps_factor.setflags(write=False)
+    eps_diag.setflags(write=False)
+    return eps_factor, eps_diag
 
 
 def reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag) -> np.ndarray:
@@ -195,14 +201,26 @@ def reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag) -> np.ndar
 
 
 def _cholesky_with_jitter(capacitance: np.ndarray) -> np.ndarray:
+    """Cholesky factor of ``capacitance``, retrying with the jitters of
+    ``_JITTERS`` added to its diagonal; warns when a non-zero jitter was
+    needed."""
     last_error = None
     for jitter in _JITTERS:
         try:
-            return np.linalg.cholesky(
+            chol = np.linalg.cholesky(
                 capacitance + jitter * np.eye(capacitance.shape[0])
             )
         except np.linalg.LinAlgError as err:
             last_error = err
+            continue
+        if jitter:
+            warnings.warn(
+                f"capacitance matrix factorised with jitter {jitter:g} added "
+                "to its diagonal",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return chol
     eigenvalues = np.linalg.eigvalsh(capacitance)
     raise NumericalError(
         "capacitance matrix not positive definite after jitter retries "

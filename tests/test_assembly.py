@@ -20,6 +20,11 @@ from ssn_lab import (
 from conftest import random_instance
 
 
+# Class scales for the composition law: either sign, kept away from 0 so
+# no product underflows and the relative rounding bound holds.
+SCALE_VALUES = st.one_of(st.floats(-4.0, -0.05), st.floats(0.05, 4.0))
+
+
 def comfortable_dist(seed, num_pixels=6, num_classes=2, rank=2):
     """Random distribution whose diagonal sits well above the floor, so
     scale round-trips are exact to near machine precision."""
@@ -322,6 +327,62 @@ class TestDeviationScale:
             chained.dense_covariance(), direct.dense_covariance(), atol=1e-12
         )
         assert np.allclose(chained.factor, direct.factor, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(SCALE_VALUES, SCALE_VALUES), min_size=1, max_size=4
+        ),
+        st.floats(0.05, 4.0),
+        st.floats(0.05, 4.0),
+    )
+    def test_composition_law_on_random_factors(self, seed, pairs, temp_s, temp_t):
+        """Scaling by s and then by t matches scaling by s * t on the
+        factor. Each side rounds four products (the two per-element scales
+        and the factor product on one side; the class product, the
+        temperature product, their product and the factor product on the
+        other), so each is within 4u of the exact value, u = eps / 2, and
+        the two differ by at most about 8u relative. The test allows 10u."""
+        per_s, per_t = np.array(pairs).T
+        dist = comfortable_dist(seed, num_classes=len(pairs), rank=3)
+        first = DeviationScale(per_class=per_s, global_temperature=temp_s)
+        second = DeviationScale(per_class=per_t, global_temperature=temp_t)
+        combined = DeviationScale(
+            per_class=per_s * per_t, global_temperature=temp_s * temp_t
+        )
+        chained = apply_deviation_scale(apply_deviation_scale(dist, first), second)
+        direct = apply_deviation_scale(dist, combined)
+        tolerance = 10 * (np.finfo(np.float64).eps / 2)
+        assert np.allclose(chained.factor, direct.factor, rtol=tolerance, atol=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_identity_and_sign_flips_are_bit_exact(self, seed, pairs):
+        per_s, per_t = np.array(pairs).T
+        dist = comfortable_dist(seed, num_classes=len(pairs), rank=3)
+
+        def scaled(d, per_class):
+            return apply_deviation_scale(d, DeviationScale(per_class=per_class))
+
+        def same_bytes(a, b):
+            return all(
+                getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                for name in ("mean", "factor", "diag_raw")
+            )
+
+        assert same_bytes(scaled(dist, np.ones(len(pairs))), dist)
+        assert same_bytes(scaled(scaled(dist, per_s), per_s), dist)
+        assert same_bytes(
+            scaled(scaled(dist, per_s), per_t), scaled(dist, per_s * per_t)
+        )
 
     def test_negative_class_scale_flips_cross_class_covariance_only(self):
         dist = comfortable_dist(6)

@@ -130,13 +130,16 @@ class TestToyTrain:
 
     def test_huge_pretraining_rate_is_divergence(self, tmp_path, capsys):
         """A finite rate that throws the mean past the overflow bound is a
-        divergence, not a useless model with exit 0."""
+        divergence, not a useless model with exit 0, and leaves no empty
+        output directory behind."""
+        out = tmp_path / "run"
         code = main(
             ["toy-train", "--pretrain-lr", "1e300", "--pretrain-iters", "50",
-             "--iters", "10", "--out", str(tmp_path)]
+             "--iters", "10", "--out", str(out)]
         )
         assert code == 3
         assert_one_error_line(capsys)
+        assert not out.exists()
 
     def test_pretraining_divergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         import ssn_lab.cli as cli_module

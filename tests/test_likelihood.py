@@ -1,9 +1,11 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 from ssn_lab import (
@@ -299,6 +301,28 @@ class TestLogsumexpKernel:
         assert same_bytes(rest + ismax, np.exp(x - x.max(axis=2, keepdims=True)))
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 16).flatmap(
+            lambda classes: hnp.arrays(
+                np.float64,
+                st.tuples(st.integers(0, 3), st.integers(0, 40), st.just(classes)),
+                elements=st.one_of(
+                    st.sampled_from([-0.0, 0.0, np.inf, -np.inf]),
+                    st.floats(allow_nan=False),
+                ),
+            )
+        )
+    )
+    def test_class_slice_sum_matches_numpy(self, block):
+        """The class-slice fold under 8 classes, numpy's sum from 8 on:
+        numpy's bytes either way, signed zeros and infinities included."""
+        from ssn_lab.likelihood import _sum_last_axis
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert same_bytes(_sum_last_axis(block), block.sum(axis=-1))
+
+
 class TestOverflowContract:
     """A non-finite logit sample on a scored pixel makes its log-likelihood
     non-finite, and the forward pass raises ``OverflowSignal``: the toy
@@ -340,10 +364,12 @@ class TestOverflowContract:
         from ssn_lab.likelihood import _mc_forward, loss_and_grads
 
         args = self.kernel_args(*self.CASES[case])
-        with pytest.raises(OverflowSignal):
-            _mc_forward(**args)
-        with pytest.raises(OverflowSignal):
-            loss_and_grads(**args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the signal is all that surfaces
+            with pytest.raises(OverflowSignal):
+                _mc_forward(**args)
+            with pytest.raises(OverflowSignal):
+                loss_and_grads(**args)
 
     @pytest.mark.parametrize("num_classes", [1, 3])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -428,6 +454,90 @@ def test_golden_paper_size_bits(num_classes, seed):
         for name, a in arrays.items()
     }
     assert digests == GOLDEN_PAPER_DIGESTS[num_classes, seed]
+
+
+class TestForwardReuse:
+    """``grad_ssn_mc_loss`` on the noise of ``ssn_mc_loss`` reuses that
+    forward pass. The reference is the same noise rebuilt as a fresh
+    ``NoiseDraw``, which carries no record and so recomputes it."""
+
+    CASES = [(1, 3), (2, 1), (4, 2)]
+
+    @staticmethod
+    def forward_counter(monkeypatch):
+        import ssn_lab.likelihood as likelihood
+
+        calls = []
+        forward = likelihood._mc_forward
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(likelihood, "_mc_forward", counted)
+        return calls
+
+    @staticmethod
+    def recomputed(dist, labels, noise):
+        fresh = NoiseDraw(noise.eps_factor, noise.eps_diag, noise.seed)
+        return grad_ssn_mc_loss(dist, labels, fresh)
+
+    @staticmethod
+    def same_grads(a, b):
+        return all(same_bytes(x, y) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("num_classes,seed", CASES)
+    def test_reused_and_repeated_gradients_match_recompute(
+        self, monkeypatch, num_classes, seed
+    ):
+        dist, labels = paper_size_case(num_classes, seed)
+        noise = ssn_mc_loss(dist, labels, 20, rng_seed=seed).noise
+        expected = self.recomputed(dist, labels, noise)
+        calls = self.forward_counter(monkeypatch)
+        reused = grad_ssn_mc_loss(dist, labels, noise)
+        assert len(calls) == 0
+        again = grad_ssn_mc_loss(dist, labels, noise)
+        assert len(calls) == 1
+        assert self.same_grads(reused, expected)
+        assert self.same_grads(again, expected)
+
+    @pytest.mark.parametrize("num_classes,seed", CASES)
+    def test_equal_but_distinct_inputs_recompute(
+        self, monkeypatch, num_classes, seed
+    ):
+        dist, labels = paper_size_case(num_classes, seed)
+        twin_dist = LowRankGaussian(
+            dist.mean, dist.factor, dist.diag_raw,
+            dist.num_pixels, dist.num_classes, dist.rank,
+        )
+        twin_labels = LabelMap(labels.labels, labels.num_classes, labels.mask)
+        for other_dist, other_labels in ((twin_dist, labels), (dist, twin_labels)):
+            noise = ssn_mc_loss(dist, labels, 20, rng_seed=seed).noise
+            expected = self.recomputed(dist, labels, noise)
+            calls = self.forward_counter(monkeypatch)
+            got = grad_ssn_mc_loss(other_dist, other_labels, noise)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert self.same_grads(got, expected)
+
+    def test_record_stays_out_of_repr_and_equality(self):
+        dist = random_instance(2, max_dim=8, max_rank=2)
+        labels = random_labels(2, dist.num_pixels, 1)
+        noise = ssn_mc_loss(dist, labels, 3, rng_seed=2).noise
+        fresh = NoiseDraw(noise.eps_factor, noise.eps_diag, noise.seed)
+        assert noise == fresh
+        assert repr(noise) == repr(fresh)
+
+    def test_noise_is_read_only(self):
+        dist = random_instance(3, max_dim=8, max_rank=2)
+        labels = random_labels(3, dist.num_pixels, 1)
+        loss = ssn_mc_loss(dist, labels, 3, rng_seed=3)
+        _, sampled = dist.sample(3, seed=3)
+        for noise in (loss.noise, sampled):
+            with pytest.raises(ValueError):
+                noise.eps_diag[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                noise.eps_factor[0, 0] = 1.0
 
 
 class TestFiniteDifferences:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -248,9 +250,16 @@ class TestCapacitanceCholesky:
         matrix = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(matrix)
-        chol = _cholesky_with_jitter(matrix)
+        with pytest.warns(RuntimeWarning, match=r"jitter 1e-10 added"):
+            chol = _cholesky_with_jitter(matrix)
         assert np.all(np.isfinite(chol))
         assert np.allclose(chol @ chol.T, matrix, rtol=0, atol=1e-9)
+
+    def test_well_conditioned_log_prob_is_silent(self):
+        dist = random_instance(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist.log_prob(dist.mean + 0.1)
 
     def test_indefinite_matrix_reports_eigenvalue_range(self):
         with pytest.raises(
