@@ -300,7 +300,6 @@ class TestLogsumexpKernel:
         assert same_bytes(lse, logsumexp(x, axis=2))
         assert same_bytes(rest + ismax, np.exp(x - x.max(axis=2, keepdims=True)))
 
-
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 16).flatmap(
