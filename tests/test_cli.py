@@ -344,8 +344,13 @@ class TestMetricsCommand:
         )
         assert code == 0
         report = json.loads(out.read_text())
+        assert sorted(report) == [
+            "cross_term", "diversity", "ged_squared", "gt_self_term", "num_gt",
+            "num_pred",
+        ]
         assert report["ged_squared"] == 0.0
         assert report["num_gt"] == 6
+        assert report["num_pred"] == 6
 
     def test_map_size_mismatch_between_directories_is_io_error(
         self, tmp_path, capsys

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import ssn_lab.toy
 from ssn_lab import (
     LowRankGaussian,
+    OverflowSignal,
     TrainConfig,
     ValidationError,
     evaluate_toy,
@@ -86,6 +88,43 @@ class TestTraining:
         ):
             assert np.all(np.isfinite(arr))
             assert np.abs(arr).max() <= config.overflow_threshold
+
+    @pytest.mark.parametrize("stop_at", [0, 3])
+    @pytest.mark.parametrize("trip", ["signal", "nan_loss", "huge_loss", "parameter"])
+    def test_stop_keeps_previous_iteration(self, monkeypatch, trip, stop_at):
+        """Each stop quantity, tripped at joint iteration ``stop_at`` (from
+        0), keeps the parameters that iteration started from: the ones it
+        passed to ``loss_and_grads``. A loss stop logs no loss for that
+        iteration; the parameter stop logs it, since the loss is recorded
+        before the update is bounds-checked."""
+        config = TrainConfig(seed=6, pretrain_iterations=20, iterations=8, mc_samples=20)
+        real = ssn_lab.toy.loss_and_grads
+        calls = []
+
+        def tripping(mean, factor, diag_raw, *rest):
+            calls.append((mean.copy(), factor.copy(), diag_raw.copy()))
+            loss, grads = real(mean, factor, diag_raw, *rest)
+            if len(calls) <= stop_at:
+                return loss, grads
+            if trip == "signal":
+                raise OverflowSignal("forced")
+            if trip == "nan_loss":
+                return float("nan"), grads
+            if trip == "huge_loss":
+                return 2.0 * config.overflow_threshold, grads
+            return loss, grads._replace(mean=np.full_like(grads.mean, -1e30))
+
+        monkeypatch.setattr(ssn_lab.toy, "loss_and_grads", tripping)
+        report = train_toy(config, covariance_mode="lowrank")
+        assert report.stop_reason == "overflow_early_stop"
+        assert len(calls) == stop_at + 1
+        logged = stop_at + 1 if trip == "parameter" else stop_at
+        assert report.loss_trace.size == config.pretrain_iterations + logged
+        checkpoint = report.checkpoint
+        for kept, started in zip(
+            (checkpoint.mean, checkpoint.factor, checkpoint.diag_raw), calls[-1]
+        ):
+            assert np.array_equal(kept, started)
 
     def test_phase_boundary_matches_pretraining_length(self):
         config = TrainConfig(seed=4, **QUICK)
