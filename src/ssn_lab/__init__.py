@@ -26,7 +26,6 @@ from .likelihood import (
     LabelMap,
     LossValue,
     ParamGrads,
-    batch_label_loglik,
     cross_entropy_loss,
     finite_diff_grad,
     grad_ssn_mc_loss,
@@ -92,7 +91,6 @@ __all__ = [
     "TrainReport",
     "ValidationError",
     "apply_deviation_scale",
-    "batch_label_loglik",
     "cross_entropy_loss",
     "dsc",
     "dsc_nod",

@@ -81,8 +81,8 @@ class PatchedParams:
                 )
 
 
-def _patch_pixel_indices(patch: Patch, full_shape: tuple[int, ...]) -> np.ndarray:
-    """Row-major global pixel indices covered by a patch."""
+def _patch_window(patch: Patch, full_shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """The image window a patch covers, checked to lie inside the image."""
     for axis, (start, extent, full) in enumerate(
         zip(patch.offset, patch.shape, full_shape)
     ):
@@ -91,11 +91,7 @@ def _patch_pixel_indices(patch: Patch, full_shape: tuple[int, ...]) -> np.ndarra
                 f"patch at {patch.offset} with shape {patch.shape} leaves the "
                 f"image of shape {full_shape} on axis {axis}"
             )
-    grids = np.meshgrid(
-        *[np.arange(start, start + extent) for start, extent in zip(patch.offset, patch.shape)],
-        indexing="ij",
-    )
-    return np.ravel_multi_index([g.reshape(-1) for g in grids], full_shape)
+    return tuple(slice(o, o + e) for o, e in zip(patch.offset, patch.shape))
 
 
 def stitch(params: PatchedParams) -> LowRankGaussian:
@@ -106,40 +102,33 @@ def stitch(params: PatchedParams) -> LowRankGaussian:
     columns map to the same global columns, so one latent vector of length
     ``rank`` is shared by the full image.
     """
-    num_pixels = int(np.prod(params.full_shape))
-    num_classes = params.num_classes
-    coverage = np.zeros(num_pixels, dtype=np.int64)
-    placements = []
+    shape, num_classes, rank = params.full_shape, params.num_classes, params.rank
+    coverage = np.zeros(shape, dtype=np.int64)
+    mean = np.empty((*shape, num_classes))
+    factor = np.empty((*shape, num_classes, rank))
+    diag_raw = np.empty((*shape, num_classes))
     for patch in params.patches:
-        pixel_idx = _patch_pixel_indices(patch, params.full_shape)
-        coverage[pixel_idx] += 1
-        placements.append((patch, pixel_idx))
-    bad = np.flatnonzero(coverage != 1)
-    if bad.size:
-        coords = [tuple(np.unravel_index(i, params.full_shape)) for i in bad[:8]]
+        window = _patch_window(patch, shape)
+        coverage[window] += 1
+        mean[window] = np.reshape(patch.mean, (*patch.shape, num_classes))
+        factor[window] = np.reshape(patch.factor, (*patch.shape, num_classes, rank))
+        diag_raw[window] = np.reshape(patch.diag_raw, (*patch.shape, num_classes))
+    bad = np.argwhere(coverage != 1)
+    if len(bad):
+        coords = [tuple(int(i) for i in pixel) for pixel in bad[:8]]
         kind = "overlap" if coverage.max() > 1 else "gap"
         raise ValidationError(
-            f"patches do not tile the image ({kind}): {bad.size} offending "
+            f"patches do not tile the image ({kind}): {len(bad)} offending "
             f"pixels, first at {coords}"
         )
-    dim = num_pixels * num_classes
-    mean = np.empty(dim)
-    factor = np.empty((dim, params.rank))
-    diag_raw = np.empty(dim)
-    for patch, pixel_idx in placements:
-        element_idx = (
-            pixel_idx[:, None] * num_classes + np.arange(num_classes)[None, :]
-        ).reshape(-1)
-        mean[element_idx] = patch.mean
-        factor[element_idx] = patch.factor
-        diag_raw[element_idx] = patch.diag_raw
+    # C order of [*full_shape, classes] is the pixel-major, class-minor layout.
     return LowRankGaussian(
-        mean=mean,
-        factor=factor,
-        diag_raw=diag_raw,
-        num_pixels=num_pixels,
+        mean=mean.reshape(-1),
+        factor=factor.reshape(-1, rank),
+        diag_raw=diag_raw.reshape(-1),
+        num_pixels=coverage.size,
         num_classes=num_classes,
-        rank=params.rank,
+        rank=rank,
     )
 
 

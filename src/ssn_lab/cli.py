@@ -135,17 +135,9 @@ def cmd_toy_eval(args) -> int:
     evaluation = evaluate_toy(
         model, n_samples=args.samples, n_lik_samples=args.lik_samples, seed=args.seed
     )
-    _write_json(
-        out / "eval.json",
-        {
-            "nll_per_map": evaluation.nll_per_map,
-            "nll_by_map": list(evaluation.nll_by_map),
-            "histogram": evaluation.histogram,
-            "num_distinct_maps": evaluation.num_distinct_maps,
-            "diversity": evaluation.diversity,
-            "ged_squared": evaluation.ged_squared,
-        },
-    )
+    payload = asdict(evaluation)
+    del payload["covariance"]  # plotted below, not written
+    _write_json(out / "eval.json", payload)
     formats.write_pgm_plot(
         out / "mean.pgm", formats.expand_line(model.mean, _PLOT_COLUMN_WIDTH)
     )
@@ -239,15 +231,7 @@ def cmd_metrics(args) -> int:
     gt = _load_sample_dir(args.gt)
     pred = _load_sample_dir(args.pred)
     report = ged_squared(gt, pred)
-    payload = {
-        "ged_squared": report.ged_squared,
-        "diversity": report.diversity,
-        "cross_term": report.cross_term,
-        "gt_self_term": report.gt_self_term,
-        "num_gt": len(gt),
-        "num_pred": len(pred),
-    }
-    _write_json(args.out, payload)
+    _write_json(args.out, {**asdict(report), "num_gt": len(gt), "num_pred": len(pred)})
     print(
         f"ged_squared={report.ged_squared:.6f} diversity={report.diversity:.6f} "
         f"-> {args.out}"

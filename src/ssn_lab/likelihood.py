@@ -105,6 +105,8 @@ def _check_logits(logits, labels: LabelMap) -> np.ndarray:
     x = np.asarray(logits, dtype=np.float64).reshape(-1)
     if x.size != expected:
         raise ShapeError(f"logits have {x.size} entries, expected {expected}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("logits contain non-finite entries")
     return x
 
 
@@ -124,9 +126,8 @@ def _logsumexp(x: np.ndarray):
     (Blanchard, Higham & Higham 2021): sum ``exp(x - max)`` over all but the
     ``m`` maxima, divide by ``m``, return ``log1p(s) + log(m) + max``. Over
     a short last axis, max and ``m`` fold over its slices, exact and far
-    quicker than numpy's reduction. Also returns ``rest``, ``exp(x - max)``
-    with the maxima zeroed, and ``ismax``: ``rest + ismax == exp(x - max)``.
-    """
+    quicker than numpy's reduction. Also returns ``exp(x - max)``, exact
+    where the max is finite."""
     with np.errstate(all="ignore"):
         if x.ndim == 1:
             top = x.max()
@@ -136,10 +137,11 @@ def _logsumexp(x: np.ndarray):
             top = functools.reduce(np.maximum, np.moveaxis(x, -1, 0))
             ismax = x == top[..., None]
             count = functools.reduce(np.add, np.moveaxis(ismax, -1, 0), 0)
-        rest = np.exp(x - top[..., None])
-        np.putmask(rest, ismax, 0.0)
-        s = _sum_last_axis(rest) / count
-        return np.log1p(s) + np.log(count) + top, rest, ismax
+        shifted = np.exp(x - top[..., None])
+        np.putmask(shifted, ismax, 0.0)
+        s = _sum_last_axis(shifted) / count
+        shifted += ismax
+        return np.log1p(s) + np.log(count) + top, shifted
 
 
 def _label_terms(logit_rows: np.ndarray, labels: LabelMap):
@@ -161,8 +163,7 @@ def _label_terms(logit_rows: np.ndarray, labels: LabelMap):
             terms, numer = -np.logaddexp(0.0, -sign[None, :] * eta), None
         else:
             eta = logit_rows.reshape(n, labels.num_pixels, labels.num_classes)
-            log_norm, numer, ismax = _logsumexp(eta)
-            numer += ismax
+            log_norm, numer = _logsumexp(eta)
             picked = np.take_along_axis(eta, labels.labels[None, :, None], axis=2)
             # Each row sums pairwise over a C-contiguous [n, active] copy; the
             # plain, F-ordered one would sum in order, to other bits.
@@ -173,15 +174,10 @@ def _label_terms(logit_rows: np.ndarray, labels: LabelMap):
     return terms.sum(axis=1), numer
 
 
-def batch_label_loglik(logit_rows: np.ndarray, labels: LabelMap) -> np.ndarray:
-    """Per-row label log-likelihood for a [n, num_pixels * num_classes] batch."""
-    return _label_terms(logit_rows, labels)[0]
-
-
 def label_log_likelihood(logits, labels: LabelMap) -> float:
     """Sum over unmasked pixels of log p(label | logit block)."""
     x = _check_logits(logits, labels)
-    return float(batch_label_loglik(x[None, :], labels)[0])
+    return float(_label_terms(x[None, :], labels)[0][0])
 
 
 def cross_entropy_loss(logits, labels: LabelMap) -> float:
@@ -207,8 +203,7 @@ def _mc_forward(mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag):
     loglik, numer = _label_terms(samples, labels)
     if not np.all(np.isfinite(loglik)):
         raise OverflowSignal("non-finite per-sample log-likelihood")
-    lse, rest, ismax = _logsumexp(loglik)
-    weights = rest + ismax
+    lse, weights = _logsumexp(loglik)
     weights /= weights.sum()
     value = float(-lse + np.log(loglik.size))
     return value, loglik, weights, samples if numer is None else numer

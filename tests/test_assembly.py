@@ -212,12 +212,13 @@ class TestStitch:
             factor=np.zeros((3, 1)),
             diag_raw=np.zeros(3),
         )
-        with pytest.raises(ValidationError, match="gap"):
+        with pytest.raises(ValidationError, match="gap") as caught:
             stitch(
                 PatchedParams(
                     patches=[patch], full_shape=(5,), num_classes=1, rank=1
                 )
             )
+        assert str(caught.value).endswith("2 offending pixels, first at [(3,), (4,)]")
 
     def test_overlap_rejected(self):
         patches = [

@@ -62,6 +62,18 @@ class TestLabelLogLikelihood:
         assert masked == pytest.approx(-np.log1p(np.exp(-1.0)), abs=1e-12)
         assert masked > full
 
+    @pytest.mark.parametrize("function", [label_log_likelihood, cross_entropy_loss])
+    @pytest.mark.parametrize("num_classes", [1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, function, num_classes, value):
+        """As ``LowRankGaussian.log_prob`` rejects them, instead of a nan or
+        inf result."""
+        labels = LabelMap(labels=np.array([1, 0]), num_classes=num_classes)
+        logits = np.zeros(2 * num_classes)
+        logits[0] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            function(logits, labels)
+
     def test_large_magnitude_logits_stay_finite(self):
         value = label_log_likelihood(np.array([-500.0, 500.0]), toy_binary([1, 0]))
         assert np.isfinite(value)
@@ -296,9 +308,9 @@ class TestLogsumexpKernel:
         x[tie] = x[..., :1].repeat(classes, axis=2)[tie]
         x[rng.random((n, pixels, classes)) < 0.1] = -np.inf
         x[..., -1] = np.where(np.isinf(x).all(axis=2), 1.0, x[..., -1])
-        lse, rest, ismax = _logsumexp(x)
+        lse, shifted = _logsumexp(x)
         assert same_bytes(lse, logsumexp(x, axis=2))
-        assert same_bytes(rest + ismax, np.exp(x - x.max(axis=2, keepdims=True)))
+        assert same_bytes(shifted, np.exp(x - x.max(axis=2, keepdims=True)))
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssn_lab import (
     DIAG_FLOOR,
@@ -13,7 +15,7 @@ from ssn_lab import (
     softplus,
     softplus_inv,
 )
-from ssn_lab.lowrank import _cholesky_with_jitter
+from ssn_lab.lowrank import DENSE_SIZE_GUARD, _JITTERS, _cholesky_with_jitter
 from conftest import random_instance
 
 STD_NORMAL_LOGPDF_AT_0 = -0.9189385332046727  # -0.5 * ln(2 pi)
@@ -236,6 +238,61 @@ class TestLogProb:
         assert at_mean == pytest.approx(-0.5 * log_det, rel=1e-10)
         perturbation = np.ones(dist.dim) * 0.3
         assert at_mean > dist.log_prob(dist.mean + perturbation)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 48),
+        st.integers(2, 6),
+        st.floats(-1.0, 3.0),
+        st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-2]),
+        st.floats(-700.0, -50.0),
+    )
+    def test_matches_dense_oracle_on_ill_conditioned_factors(
+        self, seed, dim, rank, log_scale, spread, diag_raw
+    ):
+        """Near-collinear factor columns over a diagonal at DIAG_FLOOR.
+
+        Tolerance: both routes are Cholesky-based, and a backward-stable
+        Cholesky of an n x n matrix of condition number kappa changes a
+        quadratic form or a log-determinant by about n * u * kappa times its
+        size (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+        With D = DIAG_FLOOR * I, the covariance and the capacitance matrix
+        both have kappa <= 1 + |F|_2^2 / DIAG_FLOOR; the quadratic forms are
+        at most q = (x - mean)^T D^-1 (x - mean), and the log-determinants
+        add up dim + rank such terms of order one. A capacitance jitter j
+        (its eigenvalues are >= 1) moves the log-determinant by at most
+        rank * j and the quadratic form by at most q * j, so half their sum
+        at the largest jitter is added where the jitter path is taken.
+        """
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        column = scale * rng.standard_normal((dim, 1))
+        factor = column + spread * scale * rng.standard_normal((dim, rank))
+        dist = LowRankGaussian(
+            mean=rng.standard_normal(dim),
+            factor=factor,
+            diag_raw=np.full(dim, diag_raw),
+            num_pixels=dim,
+            num_classes=1,
+            rank=rank,
+        )
+        assert dist.dim <= DENSE_SIZE_GUARD
+        assert np.all(dist.effective_diag == DIAG_FLOOR)
+        x = dist.mean + rng.standard_normal(dim)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.filterwarnings(
+                "always", "capacitance matrix factorised with jitter", RuntimeWarning
+            )
+            efficient = dist.log_prob(x)
+        dense = dist.dense_log_prob(x)
+        u = np.finfo(np.float64).eps / 2
+        kappa = 1.0 + np.linalg.norm(factor, 2) ** 2 / DIAG_FLOOR
+        q = float((x - dist.mean) @ (x - dist.mean)) / DIAG_FLOOR
+        tolerance = u * (dim + rank) * kappa * (2.0 * q + dim + rank)
+        if caught:
+            tolerance += 0.5 * max(_JITTERS) * (q + rank)
+        assert abs(efficient - dense) <= tolerance
 
     def test_rejects_bad_input(self):
         dist = random_instance(0)
