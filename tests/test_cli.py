@@ -250,6 +250,42 @@ class TestSampleAndManipulate:
         assert shape == [21]
         assert set(np.unique(label_map.labels)).issubset({0, 1})
 
+    def test_threshold_labels_samples_above_it(self, trained_dir, tmp_path):
+        out = tmp_path / "samples"
+        code = main(
+            ["sample", "--model", str(trained_dir / "model.ssnt"), "--n", "4",
+             "--seed", "5", "--threshold", "0.3", "--out", str(out)]
+        )
+        assert code == 0
+        model = formats.load_distribution(trained_dir / "model.ssnt")
+        rows, _ = model.sample(4, 5)
+        for index, row in enumerate(rows):
+            label_map, _ = formats.load_label_map(out / f"sample_{index}.json")
+            assert label_map.num_classes == 1
+            assert np.array_equal(label_map.labels, row > 0.3)
+
+    def test_multiclass_samples_are_per_pixel_argmax(self, tmp_path):
+        rng = PortableRng(4)
+        pixels, classes, rank = 6, 3, 2
+        dim = pixels * classes
+        model = LowRankGaussian(
+            rng.standard_normal(dim), rng.standard_normal((dim, rank)),
+            rng.standard_normal(dim), pixels, classes, rank,
+        )
+        formats.save_distribution(tmp_path / "model.ssnt", model)
+        out = tmp_path / "samples"
+        code = main(
+            ["sample", "--model", str(tmp_path / "model.ssnt"), "--n", "12",
+             "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        rows, _ = model.sample(12, 3)
+        expected = np.argmax(rows.reshape(12, pixels, classes), axis=2)
+        for index in range(12):
+            label_map, _ = formats.load_label_map(out / f"sample_{index:02d}.json")
+            assert label_map.num_classes == classes
+            assert np.array_equal(label_map.labels, expected[index])
+
     @pytest.mark.parametrize(
         "flags",
         [["--threshold", "nan"], ["--threshold", "inf"], ["--threshold=-inf"],

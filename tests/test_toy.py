@@ -215,8 +215,12 @@ class TestRankSweep:
         rows = rank_sweep([0, 1], [1], config=config)
         failed = [row for row in rows if row["rank"] == 0]
         assert len(failed) == 1
-        assert failed[0]["status"].startswith("error:")
-        assert np.isnan(failed[0]["nll"])
+        assert set(failed[0]) == {
+            "rank", "seed", "nll", "diversity", "ged2", "stop_reason", "status"
+        }
+        assert failed[0]["status"].startswith("error: ")
+        assert (failed[0]["seed"], failed[0]["stop_reason"]) == (1, "")
+        assert all(np.isnan(failed[0][key]) for key in ("nll", "diversity", "ged2"))
         assert [row["status"] for row in rows if row["rank"] == 1] == ["ok"]
 
     def test_empty_inputs_rejected(self):
