@@ -14,7 +14,7 @@ onto the mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,14 +184,7 @@ def apply_deviation_scale(
         dist.diag_raw,
         softplus_inv(np.maximum(target - DIAG_FLOOR, _TINY)),
     )
-    return LowRankGaussian(
-        mean=dist.mean,
-        factor=factor,
-        diag_raw=diag_raw,
-        num_pixels=dist.num_pixels,
-        num_classes=dist.num_classes,
-        rank=dist.rank,
-    )
+    return replace(dist, factor=factor, diag_raw=diag_raw)
 
 
 def most_likely_prediction(dist: LowRankGaussian) -> LabelMap:

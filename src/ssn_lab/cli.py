@@ -180,14 +180,12 @@ def cmd_sample(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples, _ = model.sample(args.n, args.seed)
+    if model.num_classes == 1:
+        rows = (samples > args.threshold).astype(np.int64)
+    else:
+        rows = np.argmax(samples.reshape(args.n, model.num_pixels, -1), axis=2)
     width = len(str(args.n - 1))
-    for index, row in enumerate(samples):
-        if model.num_classes == 1:
-            labels = (row > args.threshold).astype(np.int64)
-        else:
-            labels = np.argmax(
-                row.reshape(model.num_pixels, model.num_classes), axis=1
-            )
+    for index, labels in enumerate(rows):
         label_map = LabelMap(labels=labels, num_classes=model.num_classes)
         formats.save_label_map(out / f"sample_{index:0{width}d}.json", label_map)
     print(f"wrote {args.n} label maps -> {out}")

@@ -15,7 +15,8 @@ class SizeGuardError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A linear-algebra step failed beyond the configured jitter retries."""
+    """A linear-algebra step failed: the capacitance matrix of a low-rank
+    Gaussian lost positive definiteness to rounding."""
 
 
 class OverflowSignal(ArithmeticError):

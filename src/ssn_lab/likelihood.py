@@ -20,13 +20,14 @@ from scipy.special import expit
 
 from .errors import OverflowSignal, ShapeError, ValidationError
 from .lowrank import (
-    DIAG_FLOOR,
     LowRankGaussian,
     NoiseDraw,
+    check_logits,
     draw_noise,
+    effective_diag,
     reconstruct_samples,
-    softplus,
 )
+from .rng import PortableRng, mix_seed
 
 
 def _locked_labels(labels, num_classes: int) -> np.ndarray:
@@ -100,16 +101,6 @@ class ParamGrads(NamedTuple):
     diag_raw: np.ndarray
 
 
-def _check_logits(logits, labels: LabelMap) -> np.ndarray:
-    expected = labels.num_pixels * labels.num_classes
-    x = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if x.size != expected:
-        raise ShapeError(f"logits have {x.size} entries, expected {expected}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("logits contain non-finite entries")
-    return x
-
-
 def _sum_last_axis(x: np.ndarray):
     """``x.sum(axis=-1)`` to the bit. Under 8 terms numpy adds them left to
     right onto +0.0: a fold over the last axis's slices does the same at a
@@ -176,7 +167,7 @@ def _label_terms(logit_rows: np.ndarray, labels: LabelMap):
 
 def label_log_likelihood(logits, labels: LabelMap) -> float:
     """Sum over unmasked pixels of log p(label | logit block)."""
-    x = _check_logits(logits, labels)
+    x = check_logits(logits, labels.num_pixels * labels.num_classes)
     return float(_label_terms(x[None, :], labels)[0][0])
 
 
@@ -224,7 +215,7 @@ def _mc_backward(diag_raw, labels: LabelMap, eps_factor, eps_diag, weights, bloc
     residual = (weights[:, None, None] * residual).reshape(weights.size, -1)
     grad_mean = residual.sum(axis=0)
     grad_factor = residual.T @ eps_factor
-    d = softplus(diag_raw) + DIAG_FLOOR
+    d = effective_diag(diag_raw)
     sqrt_d_deriv = 0.5 / np.sqrt(d) * expit(diag_raw)
     grad_diag_raw = (residual * eps_diag).sum(axis=0) * sqrt_d_deriv
     return ParamGrads(grad_mean, grad_factor, grad_diag_raw)
@@ -335,21 +326,18 @@ class GradCheckResult:
     worst_trial: int
 
 
-def gradient_check_suite(
-    trials: int,
-    seed: int,
-    rel_tol: float = 1e-4,
-    abs_floor: float = 1e-7,
-    h: float = 1e-5,
-) -> GradCheckResult:
-    """Compare analytic gradients against central differences on random
-    small instances (pixels <= 8, classes in {1, 3}, rank <= 3, samples <= 5).
+# Gradient-check tolerance: relative, with an absolute floor near zero.
+_REL_TOL, _ABS_FLOOR = 1e-4, 1e-7
+
+
+def gradient_check_suite(trials: int, seed: int) -> GradCheckResult:
+    """Compare analytic gradients against central differences (step 1e-5)
+    on random small instances (pixels <= 8, classes in {1, 3}, rank <= 3,
+    samples <= 5).
 
     A coordinate passes when `|analytic - numeric|` is within
-    ``max(abs_floor, rel_tol * max(|analytic|, |numeric|))``.
+    ``max(_ABS_FLOOR, _REL_TOL * max(|analytic|, |numeric|))``.
     """
-    from .rng import PortableRng, mix_seed
-
     failures = 0
     max_rel = 0.0
     worst = -1
@@ -378,20 +366,18 @@ def gradient_check_suite(
         )
         fixed = {"labels": labels, "eps_factor": eps_factor, "eps_diag": eps_diag}
         _, analytic = loss_and_grads(**params, **fixed)
-        numeric = finite_diff_grad(
-            lambda p: _mc_forward(**p, **fixed)[0], params, h=h
-        )
+        numeric = finite_diff_grad(lambda p: _mc_forward(**p, **fixed)[0], params)
         trial_failed = False
         for name, a in zip(("mean", "factor", "diag_raw"), analytic):
             g = numeric[name]
             diff = np.abs(a - g)
             scale = np.maximum(np.abs(a), np.abs(g))
-            rel = diff / np.maximum(scale, abs_floor)
+            rel = diff / np.maximum(scale, _ABS_FLOOR)
             trial_max = float(rel.max()) if rel.size else 0.0
             if trial_max > max_rel:
                 max_rel = trial_max
                 worst = trial
-            if np.any(diff > np.maximum(abs_floor, rel_tol * scale)):
+            if np.any(diff > np.maximum(_ABS_FLOOR, _REL_TOL * scale)):
                 trial_failed = True
         if trial_failed:
             failures += 1

@@ -15,7 +15,6 @@ Cholesky route is provided as an independent oracle for verification.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,6 @@ from .rng import PortableRng
 DIAG_FLOOR = 1e-5
 DENSE_SIZE_GUARD = 4096
 _LOG_2PI = float(np.log(2.0 * np.pi))
-# Jittered Cholesky retries on the capacitance matrix before giving up.
-_JITTERS = (0.0, 1e-10, 1e-9, 1e-8)
 
 
 def softplus(x):
@@ -42,6 +39,21 @@ def softplus_inv(y):
     small = np.log(np.expm1(np.minimum(y, 30.0)))
     large = y + np.log1p(-np.exp(-np.maximum(y, 30.0)))
     return np.where(y > 30.0, large, small)
+
+
+def effective_diag(diag_raw):
+    """Positive covariance diagonal softplus(diag_raw) + DIAG_FLOOR."""
+    return softplus(diag_raw) + DIAG_FLOOR
+
+
+def check_logits(logits, dim: int) -> np.ndarray:
+    """``logits`` as a flat float64 array of ``dim`` finite entries."""
+    x = np.asarray(logits, dtype=np.float64).reshape(-1)
+    if x.size != dim:
+        raise ShapeError(f"logits have {x.size} entries, expected {dim}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("logits contain non-finite entries")
+    return x
 
 
 def _as_locked_f64(arr, shape, name: str) -> np.ndarray:
@@ -106,8 +118,7 @@ class LowRankGaussian:
 
     @property
     def effective_diag(self) -> np.ndarray:
-        """Positive covariance diagonal softplus(diag_raw) + DIAG_FLOOR."""
-        return softplus(self.diag_raw) + DIAG_FLOOR
+        return effective_diag(self.diag_raw)
 
     def marginal_variance(self) -> np.ndarray:
         """Per-element variance: row norms of the factor plus the diagonal."""
@@ -137,15 +148,11 @@ class LowRankGaussian:
         factorisation of the capacitance matrix ``I + P^T D^-1 P``. The
         covariance itself is never materialised.
         """
-        x = np.asarray(logits, dtype=np.float64).reshape(-1)
-        if x.shape != (self.dim,):
-            raise ShapeError(f"logits have {x.size} entries, expected {self.dim}")
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("logits contain non-finite entries")
+        x = check_logits(logits, self.dim)
         d = self.effective_diag
         factor_over_d = self.factor / d[:, None]
         capacitance = np.eye(self.rank) + self.factor.T @ factor_over_d
-        chol = _cholesky_with_jitter(capacitance)
+        chol = _capacitance_cholesky(capacitance)
         delta = x - self.mean
         weighted = delta / d
         projected = self.factor.T @ weighted
@@ -168,9 +175,7 @@ class LowRankGaussian:
 
     def dense_log_prob(self, logits) -> float:
         """Oracle log-density via a full Cholesky of the dense covariance."""
-        x = np.asarray(logits, dtype=np.float64).reshape(-1)
-        if x.shape != (self.dim,):
-            raise ShapeError(f"logits have {x.size} entries, expected {self.dim}")
+        x = check_logits(logits, self.dim)
         covariance = self.dense_covariance()
         chol = np.linalg.cholesky(covariance)
         solved = solve_triangular(chol, x - self.mean, lower=True)
@@ -196,35 +201,19 @@ def reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag) -> np.ndar
     Shared by sampling, the loss, its gradient and the finite-difference
     oracle so all of them see bit-identical logit samples.
     """
-    scale = np.sqrt(softplus(diag_raw) + DIAG_FLOOR)
+    scale = np.sqrt(effective_diag(diag_raw))
     return mean[None, :] + eps_factor @ factor.T + eps_diag * scale[None, :]
 
 
-def _cholesky_with_jitter(capacitance: np.ndarray) -> np.ndarray:
-    """Cholesky factor of ``capacitance``, retrying with the jitters of
-    ``_JITTERS`` added to its diagonal; warns when a non-zero jitter was
-    needed."""
-    last_error = None
-    for jitter in _JITTERS:
-        try:
-            chol = np.linalg.cholesky(
-                capacitance + jitter * np.eye(capacitance.shape[0])
-            )
-        except np.linalg.LinAlgError as err:
-            last_error = err
-            continue
-        if jitter:
-            warnings.warn(
-                f"capacitance matrix factorised with jitter {jitter:g} added "
-                "to its diagonal",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return chol
-    eigenvalues = np.linalg.eigvalsh(capacitance)
-    raise NumericalError(
-        "capacitance matrix not positive definite after jitter retries "
-        f"{_JITTERS[1:]}: eigenvalue range [{eigenvalues.min():.3e}, "
-        f"{eigenvalues.max():.3e}], condition number "
-        f"{abs(eigenvalues.max() / eigenvalues.min()):.3e}"
-    ) from last_error
+def _capacitance_cholesky(capacitance: np.ndarray) -> np.ndarray:
+    """Cholesky factor of ``I + factor.T @ D^-1 @ factor``. Its eigenvalues
+    are at least 1, so it fails only once rounding has swamped the identity
+    (diagonal entries near 1e16 and up), where no small jitter helps."""
+    try:
+        return np.linalg.cholesky(capacitance)
+    except np.linalg.LinAlgError as err:
+        eigenvalues = np.linalg.eigvalsh(capacitance)
+        raise NumericalError(
+            "capacitance matrix not positive definite: eigenvalue range "
+            f"[{eigenvalues.min():.3e}, {eigenvalues.max():.3e}]"
+        ) from err

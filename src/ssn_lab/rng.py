@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import ValidationError
+
 _U64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -20,6 +22,8 @@ class PortableRng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         self._bits = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform_open(self, size=None) -> np.ndarray:

@@ -259,29 +259,17 @@ def evaluate_toy(
 
 def _run_sweep_cell(args: tuple[int, int, TrainConfig]) -> dict:
     rank, seed, config = args
+    nan = float("nan")
     try:
         cell = replace(config, rank=rank, seed=mix_seed(rank, seed))
         report = train_toy(cell, covariance_mode="lowrank")
         evaluation = evaluate_toy(report.checkpoint, seed=cell.seed)
-        return {
-            "rank": rank,
-            "seed": seed,
-            "nll": evaluation.nll_per_map,
-            "diversity": evaluation.diversity,
-            "ged2": evaluation.ged_squared,
-            "stop_reason": report.stop_reason,
-            "status": "ok",
-        }
+        values = (evaluation.nll_per_map, evaluation.diversity,
+                  evaluation.ged_squared, report.stop_reason, "ok")
     except Exception as err:  # cell failures are recorded, not fatal
-        return {
-            "rank": rank,
-            "seed": seed,
-            "nll": float("nan"),
-            "diversity": float("nan"),
-            "ged2": float("nan"),
-            "stop_reason": "",
-            "status": f"error: {err}",
-        }
+        values = (nan, nan, nan, "", f"error: {err}")
+    keys = ("rank", "seed", "nll", "diversity", "ged2", "stop_reason", "status")
+    return dict(zip(keys, (rank, seed, *values)))
 
 
 def rank_sweep(

@@ -173,6 +173,12 @@ class TestMcLoss:
         with pytest.raises(ShapeError):
             ssn_mc_loss(dist, labels, 2, rng_seed=0)
 
+    def test_negative_seed_rejected(self):
+        dist = random_instance(0)
+        labels = random_labels(0, dist.num_pixels, dist.num_classes)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            ssn_mc_loss(dist, labels, 2, rng_seed=-1)
+
 
 class TestGradients:
     def test_single_sample_degenerate_matches_cross_entropy_gradient(self):

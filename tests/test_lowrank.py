@@ -9,13 +9,14 @@ from ssn_lab import (
     DIAG_FLOOR,
     LowRankGaussian,
     NumericalError,
+    PortableRng,
     ShapeError,
     SizeGuardError,
     ValidationError,
     softplus,
     softplus_inv,
 )
-from ssn_lab.lowrank import DENSE_SIZE_GUARD, _JITTERS, _cholesky_with_jitter
+from ssn_lab.lowrank import DENSE_SIZE_GUARD, _capacitance_cholesky
 from conftest import random_instance
 
 STD_NORMAL_LOGPDF_AT_0 = -0.9189385332046727  # -0.5 * ln(2 pi)
@@ -130,6 +131,12 @@ class TestSampling:
         assert np.array_equal(first, second)
         assert np.array_equal(noise_a.eps_factor, noise_b.eps_factor)
         assert np.array_equal(noise_a.eps_diag, noise_b.eps_diag)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            PortableRng(-1)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            random_instance(0).sample(2, -1)
 
     def test_noise_draw_records_seed_and_shapes(self):
         dist = random_instance(6)
@@ -260,10 +267,7 @@ class TestLogProb:
         With D = DIAG_FLOOR * I, the covariance and the capacitance matrix
         both have kappa <= 1 + |F|_2^2 / DIAG_FLOOR; the quadratic forms are
         at most q = (x - mean)^T D^-1 (x - mean), and the log-determinants
-        add up dim + rank such terms of order one. A capacitance jitter j
-        (its eigenvalues are >= 1) moves the log-determinant by at most
-        rank * j and the quadratic form by at most q * j, so half their sum
-        at the largest jitter is added where the jitter path is taken.
+        add up dim + rank such terms of order one.
         """
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
@@ -280,18 +284,12 @@ class TestLogProb:
         assert dist.dim <= DENSE_SIZE_GUARD
         assert np.all(dist.effective_diag == DIAG_FLOOR)
         x = dist.mean + rng.standard_normal(dim)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.filterwarnings(
-                "always", "capacitance matrix factorised with jitter", RuntimeWarning
-            )
-            efficient = dist.log_prob(x)
+        efficient = dist.log_prob(x)
         dense = dist.dense_log_prob(x)
         u = np.finfo(np.float64).eps / 2
         kappa = 1.0 + np.linalg.norm(factor, 2) ** 2 / DIAG_FLOOR
         q = float((x - dist.mean) @ (x - dist.mean)) / DIAG_FLOOR
         tolerance = u * (dim + rank) * kappa * (2.0 * q + dim + rank)
-        if caught:
-            tolerance += 0.5 * max(_JITTERS) * (q + rank)
         assert abs(efficient - dense) <= tolerance
 
     def test_rejects_bad_input(self):
@@ -300,18 +298,33 @@ class TestLogProb:
             dist.log_prob(np.zeros(dist.dim + 1))
         with pytest.raises(ValidationError):
             dist.log_prob(np.full(dist.dim, np.inf))
+        with pytest.raises(ShapeError):
+            dist.dense_log_prob(np.zeros(dist.dim + 1))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValidationError, match="non-finite"):
+                dist.dense_log_prob(np.full(dist.dim, bad))
+
+    def test_collinear_factor_at_huge_scale_raises_numerical_error(self):
+        """Two identical columns at scale 1e9 over D = DIAG_FLOOR give a
+        capacitance whose entries near 4e23 swamp its identity, so it is
+        exactly singular in floating point."""
+        column = np.full((4, 1), 1e9)
+        dist = LowRankGaussian(
+            mean=np.zeros(4),
+            factor=np.hstack([column, column]),
+            diag_raw=np.full(4, -100.0),
+            num_pixels=4,
+            num_classes=1,
+            rank=2,
+        )
+        assert np.all(dist.effective_diag == DIAG_FLOOR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="eigenvalue range"):
+                dist.log_prob(dist.mean + 1.0)
 
 
 class TestCapacitanceCholesky:
-    def test_jitter_retry_factorises_near_singular_matrix(self):
-        matrix = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(matrix)
-        with pytest.warns(RuntimeWarning, match=r"jitter 1e-10 added"):
-            chol = _cholesky_with_jitter(matrix)
-        assert np.all(np.isfinite(chol))
-        assert np.allclose(chol @ chol.T, matrix, rtol=0, atol=1e-9)
-
     def test_well_conditioned_log_prob_is_silent(self):
         dist = random_instance(5)
         with warnings.catch_warnings():
@@ -322,7 +335,7 @@ class TestCapacitanceCholesky:
         with pytest.raises(
             NumericalError, match=r"eigenvalue range \[-1\.000e\+00, 1\.000e\+00\]"
         ):
-            _cholesky_with_jitter(np.diag([1.0, -1.0]))
+            _capacitance_cholesky(np.diag([1.0, -1.0]))
 
 
 class TestDenseOracle:
