@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .likelihood import LabelMap
-from .lowrank import DIAG_FLOOR, LowRankGaussian, softplus_inv
-
-_TINY = np.finfo(np.float64).tiny
+from .lowrank import LowRankGaussian, effective_diag_inv
 
 
 @dataclass(frozen=True)
@@ -177,12 +175,10 @@ def apply_deviation_scale(
     )
     factor = dist.factor * per_element[:, None]
     squared = per_element**2
-    effective = dist.effective_diag
-    target = squared * effective
     diag_raw = np.where(
         squared == 1.0,
         dist.diag_raw,
-        softplus_inv(np.maximum(target - DIAG_FLOOR, _TINY)),
+        effective_diag_inv(squared * dist.effective_diag),
     )
     return replace(dist, factor=factor, diag_raw=diag_raw)
 

@@ -26,6 +26,8 @@ from .rng import PortableRng
 DIAG_FLOOR = 1e-5
 DENSE_SIZE_GUARD = 4096
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_BLOCK = 1 << 15  # elements per block of in-place sample reconstruction
+_TINY = np.finfo(np.float64).tiny
 
 
 def softplus(x):
@@ -44,6 +46,12 @@ def softplus_inv(y):
 def effective_diag(diag_raw):
     """Positive covariance diagonal softplus(diag_raw) + DIAG_FLOOR."""
     return softplus(diag_raw) + DIAG_FLOOR
+
+
+def effective_diag_inv(effective):
+    """The raw diagonal whose effective diagonal is ``effective``; values at
+    or below DIAG_FLOOR map to the smallest raw value the floor allows."""
+    return softplus_inv(np.maximum(effective - DIAG_FLOOR, _TINY))
 
 
 def check_logits(logits, dim: int) -> np.ndarray:
@@ -199,10 +207,18 @@ def reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag) -> np.ndar
     """Sample reconstruction from raw, unvalidated arrays and recorded noise.
 
     Shared by sampling, the loss, its gradient and the finite-difference
-    oracle so all of them see bit-identical logit samples.
+    oracle so all of them see bit-identical logit samples. The sum is formed
+    in place as ``(mean + eps_factor @ factor.T) + eps_diag * scale``, with
+    the diagonal term added in row blocks of about ``_BLOCK`` elements, so no
+    full-size temporary is made.
     """
     scale = np.sqrt(effective_diag(diag_raw))
-    return mean[None, :] + eps_factor @ factor.T + eps_diag * scale[None, :]
+    samples = eps_factor @ factor.T
+    samples += mean
+    rows = max(1, _BLOCK // max(1, samples.shape[1]))
+    for start in range(0, samples.shape[0], rows):
+        samples[start : start + rows] += eps_diag[start : start + rows] * scale
+    return samples
 
 
 def _capacitance_cholesky(capacitance: np.ndarray) -> np.ndarray:

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .likelihood import LabelMap, _locked_labels
 
+_EXACT_F32_COUNT = 1 << 24  # float32 counts every integer up to here exactly
+
 
 class SampleSet:
     """An ordered collection of label maps drawn from one distribution, held
@@ -138,15 +140,15 @@ def pairwise_iou_distance(
 
     Per pair, IoU is averaged over non-background classes present in either
     map; pairs where every non-background class is absent from both maps get
-    distance 0.
+    distance 0. Passing the same array twice computes each overlap once.
     """
     effective = max(num_classes, 2)
     iou_sum = np.zeros((rows_a.shape[0], rows_b.shape[0]))
     present = np.zeros_like(iou_sum)
     for cls in range(1, effective):
         in_a = rows_a == cls
-        in_b = rows_b == cls
-        intersection = in_a.astype(np.float64) @ in_b.T.astype(np.float64)
+        in_b = in_a if rows_a is rows_b else rows_b == cls
+        intersection = _overlap_counts(in_a, in_b)
         union = in_a.sum(axis=1)[:, None] + in_b.sum(axis=1)[None, :] - intersection
         defined = union > 0
         iou_sum += np.where(defined, intersection / np.where(defined, union, 1.0), 0.0)
@@ -154,6 +156,23 @@ def pairwise_iou_distance(
     # no foreground anywhere -> identical empty maps -> distance 0
     mean_iou = np.where(present > 0, iou_sum / np.maximum(present, 1.0), 1.0)
     return 1.0 - mean_iou
+
+
+def _overlap_counts(in_a: np.ndarray, in_b: np.ndarray) -> np.ndarray:
+    """``in_a @ in_b.T`` of two boolean stacks, as exact float64 counts.
+
+    The products run in float32, whose sums of zeros and ones stay exact up
+    to 2**24, so the pixel axis is cut into chunks of at most that length and
+    the chunk totals are added in float64. Given the same stack twice, numpy
+    multiplies it by its own transpose through SYRK, at half the flops.
+    """
+    counts = np.zeros((in_a.shape[0], in_b.shape[0]))
+    for start in range(0, in_a.shape[1], _EXACT_F32_COUNT):
+        chunk = slice(start, start + _EXACT_F32_COUNT)
+        ind_a = in_a[:, chunk].astype(np.float32)
+        ind_b = ind_a if in_b is in_a else in_b[:, chunk].astype(np.float32)
+        counts += ind_a @ ind_b.T
+    return counts
 
 
 def iou_distance(a: LabelMap, b: LabelMap) -> float:

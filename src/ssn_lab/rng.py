@@ -4,9 +4,18 @@ Uniform bits come from a PCG64 stream. Normal variates are produced by
 applying the inverse normal CDF to 53-bit uniforms offset into the open
 interval (0, 1), so a seed determines every draw bit-for-bit on any platform
 with IEEE-754 doubles.
+
+Each variate uses exactly one 64-bit PCG64 output: the range 2**53 is a power
+of two, so numpy's bounded-integer method never rejects. A large draw can
+therefore be split, with the second half drawn on a second core from a copy
+of the stream advanced past the first half, and return the same bytes and
+leave the stream where a serial draw would.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -15,6 +24,8 @@ from .errors import ValidationError
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+_CHUNK = 1 << 15  # variates per chunk: the temporaries stay in cache
+_SPLIT_MIN = 1 << 20  # below this size a second thread costs more than it saves
 
 
 class PortableRng:
@@ -32,7 +43,41 @@ class PortableRng:
         return (np.asarray(k, dtype=np.float64) + 0.5) * 2.0**-53
 
     def standard_normal(self, size=None) -> np.ndarray:
-        return ndtri(self.uniform_open(size))
+        """Inverse-CDF normals, ``ndtri(uniform_open(size))`` bit for bit."""
+        if size is None:
+            return ndtri(self.uniform_open())
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        half = _split_point(flat.size)
+        if not half:
+            _fill_normal(self._bits, flat)
+            return out
+        bit_gen = self._bits.bit_generator
+        start = bit_gen.state
+        tail = np.random.PCG64()
+        tail.state = start
+        tail.advance(half)
+        failures = []
+
+        def fill_tail():
+            try:
+                _fill_normal(np.random.Generator(tail), flat[half:])
+            except BaseException as err:
+                failures.append(err)
+
+        worker = threading.Thread(target=fill_tail)
+        worker.start()
+        try:
+            _fill_normal(self._bits, flat[:half])
+        finally:
+            worker.join()
+        if failures:
+            raise failures[0]
+        # advance() drops a buffered 32-bit output, which a serial draw keeps.
+        bit_gen.advance(flat.size - half)
+        bit_gen.state = {**bit_gen.state, "has_uint32": start["has_uint32"],
+                         "uinteger": start["uinteger"]}
+        return out
 
     def integers(self, low: int, high: int, size=None):
         return self._bits.integers(low, high, size=size)
@@ -40,6 +85,25 @@ class PortableRng:
     def draw_seed(self) -> int:
         """A fresh 63-bit seed for a child generator."""
         return int(self._bits.integers(0, 1 << 63, dtype=np.int64))
+
+
+def _split_point(size: int) -> int:
+    """Where a draw of ``size`` variates splits between two threads; 0 keeps
+    it on the calling thread."""
+    if size < _SPLIT_MIN or not hasattr(os, "sched_getaffinity"):
+        return 0
+    return size // 2 if len(os.sched_getaffinity(0)) > 1 else 0
+
+
+def _fill_normal(bits: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the flat ``out`` with inverse-CDF normals from ``bits``, chunk by
+    chunk and in place; both numpy steps release the GIL."""
+    for start in range(0, out.size, _CHUNK):
+        part = out[start : start + _CHUNK]
+        k = bits.integers(0, 1 << 53, size=part.size, dtype=np.int64)
+        np.add(k, 0.5, out=part)
+        part *= 2.0**-53
+        ndtri(part, out=part)
 
 
 def mix_seed(*parts: int) -> int:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ssn_lab
 from ssn_lab import DivergenceError, LabelMap, LowRankGaussian, PortableRng, formats
 from ssn_lab.cli import main
 
@@ -472,10 +474,16 @@ class TestGradcheckCommand:
 
 
 def test_console_entry_point_runs():
+    # The subprocess finds the package the way this process did, installed
+    # or not.
+    src = str(Path(ssn_lab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     result = subprocess.run(
         [sys.executable, "-m", "ssn_lab.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "toy-train" in result.stdout

@@ -16,7 +16,15 @@ from ssn_lab import (
     softplus,
     softplus_inv,
 )
-from ssn_lab.lowrank import DENSE_SIZE_GUARD, _capacitance_cholesky
+from ssn_lab import lowrank
+from ssn_lab.lowrank import (
+    DENSE_SIZE_GUARD,
+    _capacitance_cholesky,
+    draw_noise,
+    effective_diag,
+    effective_diag_inv,
+    reconstruct_samples,
+)
 from conftest import random_instance
 
 STD_NORMAL_LOGPDF_AT_0 = -0.9189385332046727  # -0.5 * ln(2 pi)
@@ -82,6 +90,18 @@ class TestConstruction:
         assert np.allclose(softplus(softplus_inv(values)), values, rtol=1e-12)
 
 
+class TestEffectiveDiagInverse:
+    def test_round_trips_above_the_floor(self):
+        target = np.array([2e-5, 1e-3, 0.5, 1.0, 7.0, 40.0, 1e6])
+        raw = effective_diag_inv(target)
+        assert np.allclose(effective_diag(raw), target, rtol=1e-12, atol=0.0)
+
+    def test_floor_and_below_give_the_floor(self):
+        raw = effective_diag_inv(np.array([DIAG_FLOOR, 0.0, -1.0]))
+        assert np.all(np.isfinite(raw))
+        assert np.array_equal(effective_diag(raw), np.full(3, DIAG_FLOOR))
+
+
 class TestSampling:
     def test_degenerate_covariance_samples_stick_to_mean(self):
         # floored diagonal only: deviations are sqrt(1e-5)-scale noise
@@ -110,6 +130,23 @@ class TestSampling:
         samples, _ = dist.sample(n, seed=7)
         assert np.abs(samples.mean(axis=0)).max() <= 3.0 / np.sqrt(n)
         assert np.abs(samples.std(axis=0) - 1.0).max() <= 0.02
+
+    @pytest.mark.parametrize("block", [None, 1, 20, 41, 10_000])
+    @pytest.mark.parametrize("n, dim", [(1, 1), (7, 10), (33, 21), (5, 130)])
+    def test_reconstruction_equals_one_expression(self, monkeypatch, block, n, dim):
+        """Built in place and in row blocks, each sample still equals
+        ``mean + eps_factor @ factor.T + eps_diag * scale`` bit for bit."""
+        if block is not None:
+            monkeypatch.setattr(lowrank, "_BLOCK", block)
+        rng = PortableRng(n * dim)
+        mean = rng.standard_normal(dim)
+        factor = rng.standard_normal((dim, 3))
+        diag_raw = rng.standard_normal(dim)
+        eps_factor, eps_diag = draw_noise(n, 3, dim, seed=dim)
+        got = reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag)
+        scale = np.sqrt(effective_diag(diag_raw))
+        want = mean[None, :] + eps_factor @ factor.T + eps_diag * scale
+        assert got.shape == (n, dim) and got.tobytes() == want.tobytes()
 
     def test_rank_one_factor_induces_near_perfect_correlation(self):
         dist = LowRankGaussian(

@@ -21,7 +21,8 @@ from ssn_lab import (
     marginal_entropy,
     sample_diversity,
 )
-from ssn_lab.metrics import _unique_rows
+from ssn_lab import metrics
+from ssn_lab.metrics import _unique_rows, pairwise_iou_distance
 
 BINARY_ENTROPY_QUARTER = 0.8112781244591328  # -(.25 log2 .25 + .75 log2 .75)
 
@@ -359,3 +360,64 @@ class TestUniqueRows:
         rows = codes[:, None] // limit ** np.arange(width)[::-1] % limit
         assert_matches_np_unique(rows, num_classes)
         assert _unique_rows(rows, num_classes)[0].shape == (500, width)
+
+
+def float64_iou_distance(rows_a, rows_b, num_classes):
+    """The distance matrix with float64 indicator products, no chunks."""
+    iou_sum = np.zeros((rows_a.shape[0], rows_b.shape[0]))
+    present = np.zeros_like(iou_sum)
+    for cls in range(1, max(num_classes, 2)):
+        in_a = rows_a == cls
+        in_b = rows_b == cls
+        intersection = in_a.astype(np.float64) @ in_b.T.astype(np.float64)
+        union = in_a.sum(axis=1)[:, None] + in_b.sum(axis=1)[None, :] - intersection
+        defined = union > 0
+        iou_sum += np.where(defined, intersection / np.where(defined, union, 1.0), 0.0)
+        present += defined
+    mean_iou = np.where(present > 0, iou_sum / np.maximum(present, 1.0), 1.0)
+    return 1.0 - mean_iou
+
+
+class TestPairwiseIouDistance:
+    """Float32 overlap counts, chunked pixels and the self-pair product must
+    reproduce the float64 indicator products byte for byte."""
+
+    @staticmethod
+    def label_rows(seed, count, pixels, num_classes):
+        rng = np.random.default_rng(seed)
+        # Skewed label shares, so some classes are rare or absent in a row.
+        shares = rng.dirichlet(np.full(max(num_classes, 2), 0.4), size=count)
+        cumulative = np.cumsum(shares, axis=1)[:, None, :]
+        draws = rng.random((count, pixels))[:, :, None]
+        return (draws > cumulative).sum(axis=2).astype(np.uint8)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+    @pytest.mark.parametrize("num_classes", [1, 2, 4])
+    def test_equals_float64_reference(self, monkeypatch, chunk, num_classes):
+        if chunk is not None:
+            monkeypatch.setattr(metrics, "_EXACT_F32_COUNT", chunk)
+        rows_a = self.label_rows(num_classes, 30, 130, num_classes)
+        rows_b = self.label_rows(num_classes + 10, 17, 130, num_classes)
+        for a, b in ((rows_a, rows_b), (rows_b, rows_a), (rows_a, rows_a)):
+            got = pairwise_iou_distance(a, b, num_classes)
+            assert got.tobytes() == float64_iou_distance(a, b, num_classes).tobytes()
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_self_pairs_match_a_copy(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(metrics, "_EXACT_F32_COUNT", chunk)
+        rows = self.label_rows(3, 40, 97, 4)
+        same = pairwise_iou_distance(rows, rows, 4)
+        assert same.tobytes() == pairwise_iou_distance(rows, rows.copy(), 4).tobytes()
+        assert np.array_equal(same, same.T) and not np.any(np.diag(same))
+
+    def test_paper_size_counts_are_exact(self):
+        rows_a = self.label_rows(5, 100, 128 * 128, 4)
+        rows_b = self.label_rows(6, 4, 128 * 128, 4)
+        for a, b in ((rows_b, rows_a), (rows_a, rows_a)):
+            got = pairwise_iou_distance(a, b, 4)
+            assert got.tobytes() == float64_iou_distance(a, b, 4).tobytes()
+
+    def test_no_pixels(self):
+        rows = np.zeros((3, 0), dtype=np.uint8)
+        assert np.array_equal(pairwise_iou_distance(rows, rows, 2), np.zeros((3, 3)))
