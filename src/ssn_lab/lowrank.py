@@ -193,14 +193,14 @@ class LowRankGaussian:
 
 def draw_noise(n: int, rank: int, dim: int, seed: int):
     """Standard-normal noise for ``n`` samples: ([n, rank], [n, dim]), both
-    read-only, so a loss and its gradient see the same draws."""
-    rng = PortableRng(seed)
-    block = rng.standard_normal((n, rank + dim))
+    read-only, so a loss and its gradient see the same draws. The diagonal
+    noise is a view of the drawn ``[n, rank + dim]`` block, not a copy: every
+    use of it is elementwise, which gives the same bits on either layout."""
+    block = PortableRng(seed).standard_normal((n, rank + dim))
+    block.setflags(write=False)
     eps_factor = np.ascontiguousarray(block[:, :rank])
-    eps_diag = np.ascontiguousarray(block[:, rank:])
     eps_factor.setflags(write=False)
-    eps_diag.setflags(write=False)
-    return eps_factor, eps_diag
+    return eps_factor, block[:, rank:]
 
 
 def reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag) -> np.ndarray:

@@ -131,6 +131,15 @@ class TestSampling:
         assert np.abs(samples.mean(axis=0)).max() <= 3.0 / np.sqrt(n)
         assert np.abs(samples.std(axis=0) - 1.0).max() <= 0.02
 
+    def test_noise_is_the_stream_in_row_order_and_read_only(self):
+        eps_factor, eps_diag = draw_noise(3, 2, 5, seed=4)
+        block = PortableRng(4).standard_normal((3, 7))
+        assert np.array_equal(eps_factor, block[:, :2])
+        assert np.array_equal(eps_diag, block[:, 2:])
+        for array in (eps_factor, eps_diag, eps_diag.base):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
     @pytest.mark.parametrize("block", [None, 1, 20, 41, 10_000])
     @pytest.mark.parametrize("n, dim", [(1, 1), (7, 10), (33, 21), (5, 130)])
     def test_reconstruction_equals_one_expression(self, monkeypatch, block, n, dim):
