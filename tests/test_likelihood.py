@@ -408,16 +408,18 @@ class TestOverflowContract:
             assert np.all(grad[block] == 0.0)
 
 
-def paper_size_case(num_classes, seed):
+def paper_size_case(num_classes, seed, factor_scale=0.005):
     """The paper's size, 128x128 pixels at rank 10, with ~10% of the
-    pixels masked out. Logit noise is small enough that several of the 20
-    samples carry weight in the gradient (effective sample size 5-11)."""
+    pixels masked out. At the default ``factor_scale`` the logit noise is
+    small enough that several of the 20 samples carry weight in the
+    gradient (effective sample size 5-11); from about 0.3 the per-sample
+    log-likelihoods differ by thousands of nats and most weights are 0."""
     rng = PortableRng(mix_seed(seed, num_classes))
     pixels, rank = 128 * 128, 10
     dim = pixels * num_classes
     dist = LowRankGaussian(
         rng.standard_normal(dim),
-        0.005 * rng.standard_normal((dim, rank)),
+        factor_scale * rng.standard_normal((dim, rank)),
         rng.standard_normal(dim) - 12.0,
         pixels,
         num_classes,
@@ -460,11 +462,17 @@ GOLDEN_PAPER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("num_classes,seed", sorted(GOLDEN_PAPER_DIGESTS))
-def test_golden_paper_size_bits(num_classes, seed):
-    dist, labels = paper_size_case(num_classes, seed)
+def paper_size_digests(dist, labels, seed):
+    """SHA-256 of the loss, the per-sample log-likelihoods and the three
+    gradients at 20 samples, and the count of exactly-zero sample weights."""
+    from ssn_lab.likelihood import _mc_forward
+
     loss = ssn_mc_loss(dist, labels, 20, rng_seed=seed)
-    grads = grad_ssn_mc_loss(dist, labels, loss.noise)
+    noise = loss.noise
+    weights = _mc_forward(
+        dist.mean, dist.factor, dist.diag_raw, labels, noise.eps_factor, noise.eps_diag
+    )[2]
+    grads = grad_ssn_mc_loss(dist, labels, noise)
     arrays = {
         "value": np.float64(loss.value),
         "per_sample_loglik": loss.per_sample_loglik,
@@ -474,7 +482,64 @@ def test_golden_paper_size_bits(num_classes, seed):
         name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
         for name, a in arrays.items()
     }
+    return digests, int(np.count_nonzero(weights == 0.0))
+
+
+@pytest.mark.parametrize("num_classes,seed", sorted(GOLDEN_PAPER_DIGESTS))
+def test_golden_paper_size_bits(num_classes, seed):
+    dist, labels = paper_size_case(num_classes, seed)
+    digests, zeros = paper_size_digests(dist, labels, seed)
+    assert zeros == 0
     assert digests == GOLDEN_PAPER_DIGESTS[num_classes, seed]
+
+
+# The same digests, keyed by (num_classes, seed, factor_scale), where the
+# Monte-Carlo weights have collapsed onto a few samples, as they do in
+# paper-size training: at least 10 of the 20 weights are exactly 0, and at
+# (2, 1, 1.0) all but one. Recorded before the gradient skipped the
+# zero-weight samples.
+GOLDEN_COLLAPSED_DIGESTS = {
+    (1, 2, 0.3): {
+        "value": "82bbb55aff3db934e5f52c2170997f09e4707423fd74c8882b940a9ca2db6821",
+        "per_sample_loglik": "63189471def25990f83e9b4889ccd78381de5bdc81b7797b6011e95fa5e01bb9",
+        "mean": "4c8a40df97a807c4cb33e6f96621f1b29b80b5eb79bb487d80a38735d117ac89",
+        "factor": "4780b844b07457b0bd4968ef509cbb32ade6897f83e82badf03cff0b399cf278",
+        "diag_raw": "158a855a9971199233efc03898492884a3ad3ee7a51eb33eb086d038fce9a14d",
+        "zero_weights": 13,
+    },
+    (2, 2, 0.3): {
+        "value": "87e6f87007ae369eda60b8dbd301a7050aa9afd52a0aebd9e68de1a61e7fddf4",
+        "per_sample_loglik": "bb6345c393c6441079a4c22bb75938e861cb745a53b0b3edcc1468d4f959782f",
+        "mean": "740656f2e9b0042b864caf03bdd7e0e2cc08f245517ce1ff36d01bb89d23f59d",
+        "factor": "46fc4012ec716fd8bce3dc897add0993e2ee5839e8890e2ecb35e6697de0a7b6",
+        "diag_raw": "96becbaa9c7aa60c339a3b19112df879d58fe20dfaff92f294c61ecbca605643",
+        "zero_weights": 13,
+    },
+    (4, 2, 0.3): {
+        "value": "545d592560171913ad0334f8dbbac424f79a979be3ccfadff5b49298803a6ccb",
+        "per_sample_loglik": "1c474c43deaba8edda85fb48f3d486af74d0d5e37e10b0e709b3be7ca8de56ab",
+        "mean": "5af5ce22abcb261d92ce79ceedbf1e0bab0babdb8393da8aa3d21d368502b461",
+        "factor": "80ccf98853fb9468f3ff1df95912a57d38a3708938a90b074de2ddecb7c3fb3a",
+        "diag_raw": "62a092da07fa883e205f9fecc0a1f7757273f52fddd3c2c9e28090dc149f6207",
+        "zero_weights": 13,
+    },
+    (2, 1, 1.0): {
+        "value": "0cc7aee4c921ba7f2a29fd2ee46bd276f58e6580e7ae5a11590ade53db6b8cde",
+        "per_sample_loglik": "1ca452e6e782e4d9e3e70b765c74877ecc3bbd266e6bc61ca6edb7da4dbbcdbc",
+        "mean": "414549dfed1342d48ad625600217db5073b0ebc987beb4e7872a765a9d388389",
+        "factor": "0325ec80535a0d174e99483fc37c6b0c732b00346bcde5fe75bf192f02fe0d95",
+        "diag_raw": "f1d1686d71056f0975d4ca930b1ce149d0e8e6c0bd9ead46825019464c29acd8",
+        "zero_weights": 19,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_COLLAPSED_DIGESTS))
+def test_golden_collapsed_weight_bits(case):
+    num_classes, seed, factor_scale = case
+    dist, labels = paper_size_case(num_classes, seed, factor_scale)
+    digests, zeros = paper_size_digests(dist, labels, seed)
+    assert {**digests, "zero_weights": zeros} == GOLDEN_COLLAPSED_DIGESTS[case]
 
 
 class TestForwardReuse:
