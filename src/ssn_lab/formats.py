@@ -126,29 +126,11 @@ def load_label_map(path) -> tuple[LabelMap, list[int]]:
     return label_map, shape
 
 
-def label_map_to_pgm(path, label_map: LabelMap, shape) -> None:
-    """Write a two-dimensional binary label map as 8-bit binary PGM
-    (foreground 255, background 0)."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != 2:
-        raise ValidationError(f"PGM label maps must be 2-d, got shape {shape}")
-    if label_map.effective_classes != 2:
-        raise ValidationError("PGM label maps must be binary")
-    image = (label_map.labels.reshape(shape) > 0).astype(np.uint8) * 255
-    _write_pgm_bytes(path, image)
-
-
 def label_map_from_pgm(path) -> tuple[LabelMap, list[int]]:
     """Read a binary PGM back into a binary label map (threshold at 128)."""
     image = _read_pgm_bytes(path)
     labels = (image >= 128).astype(np.int64).reshape(-1)
     return LabelMap(labels=labels, num_classes=1), list(image.shape)
-
-
-def _write_pgm_bytes(path, image: np.ndarray) -> None:
-    height, width = image.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.astype(np.uint8).tobytes())
 
 
 def _read_pgm_bytes(path) -> np.ndarray:
@@ -192,7 +174,9 @@ def write_pgm_plot(path, image: np.ndarray) -> None:
         scaled = (image - low) / (high - low)
     else:
         scaled = np.zeros_like(image)
-    _write_pgm_bytes(path, np.round(scaled * 255.0).astype(np.uint8))
+    header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
+    pixels = np.round(scaled * 255.0).astype(np.uint8)
+    Path(path).write_bytes(header + pixels.tobytes())
     sidecar = Path(str(path) + ".scale.json")
     sidecar.write_text(
         json.dumps({"min": low, "max": high, "maxval": 255}, separators=(",", ":"))

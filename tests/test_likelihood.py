@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from ssn_lab import (
     LabelMap,
@@ -25,7 +25,7 @@ from ssn_lab import (
     mix_seed,
     ssn_mc_loss,
 )
-from ssn_lab.lowrank import draw_noise, reconstruct_samples
+from ssn_lab.lowrank import draw_noise, effective_diag, reconstruct_samples
 from conftest import random_instance, random_labels
 
 
@@ -148,7 +148,7 @@ class TestMcLoss:
         dist = random_instance(9, max_dim=8, max_rank=3)
         labels = random_labels(9, dist.num_pixels, 1)
         result = ssn_mc_loss(dist, labels, 13, rng_seed=3)
-        from scipy.special import logsumexp
+        from scipy.special import expit, logsumexp
 
         recomputed = -logsumexp(result.per_sample_loglik) + np.log(13)
         assert result.value == pytest.approx(recomputed, abs=1e-12)
@@ -540,6 +540,129 @@ def test_golden_collapsed_weight_bits(case):
     dist, labels = paper_size_case(num_classes, seed, factor_scale)
     digests, zeros = paper_size_digests(dist, labels, seed)
     assert {**digests, "zero_weights": zeros} == GOLDEN_COLLAPSED_DIGESTS[case]
+
+
+def full_row_grads(diag_raw, labels, eps_factor, eps_diag, weights, block):
+    """The gradient formed over every sample, zero weights included."""
+    if labels.num_classes == 1:
+        probs, classes = expit(block)[:, :, None], 1
+    else:
+        probs, classes = block / block.sum(axis=-1)[..., None], np.arange(
+            labels.num_classes
+        )
+    residual = probs - (labels.labels[:, None] == classes)
+    residual[:, ~labels.active_mask()] = 0.0
+    residual = (weights[:, None, None] * residual).reshape(weights.size, -1)
+    sqrt_d_deriv = 0.5 / np.sqrt(effective_diag(diag_raw)) * expit(diag_raw)
+    return (
+        residual.sum(axis=0),
+        residual.T @ eps_factor,
+        (residual * eps_diag).sum(axis=0) * sqrt_d_deriv,
+    )
+
+
+@st.composite
+def zero_weight_cases(draw):
+    """Kernel arguments and the samples forced to weight exactly 0: their
+    diagonal noise pushes every scored pixel's labelled logit far below the
+    others, so their log-likelihood trails by thousands of nats."""
+    num_classes = draw(st.sampled_from([1, 2, 3]))
+    pixels = draw(st.integers(1, 64))
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    forced = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    forced[draw(st.integers(0, n - 1))] = False
+    rng = PortableRng(draw(st.integers(0, 2**32)))
+    dim = pixels * num_classes
+    labels = LabelMap(
+        labels=rng.integers(0, max(num_classes, 2), size=pixels),
+        num_classes=num_classes,
+        mask=(rng.uniform_open(pixels) >= 0.3) if draw(st.booleans()) else None,
+    )
+    if not labels.active_mask().any():
+        labels = LabelMap(labels.labels, num_classes)
+    eps_factor, eps_diag = draw_noise(n, rank, dim, int(rng.integers(0, 2**62)))
+    eps_diag = eps_diag.copy()
+    if num_classes == 1:
+        away = np.where(labels.labels == 1, -1e6, 1e6)
+    else:
+        onehot = labels.labels[:, None] == np.arange(num_classes)
+        away = np.where(onehot, -1e6, 1e6).reshape(-1)
+    eps_diag[forced] = away
+    args = dict(
+        mean=rng.standard_normal(dim),
+        factor=rng.standard_normal((dim, rank)),
+        diag_raw=rng.standard_normal(dim),
+        labels=labels,
+        eps_factor=eps_factor,
+        eps_diag=eps_diag,
+    )
+    return args, forced
+
+
+class TestZeroWeightSamples:
+    """The backward pass leaves out the samples whose Monte-Carlo weight is
+    exactly 0; the gradient must keep the bytes of the sum over all of
+    them, and no caller's array may be overwritten on the way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_weight_cases())
+    def test_gradient_equals_full_row_reference(self, case):
+        from ssn_lab.likelihood import _mc_forward, loss_and_grads
+
+        args, forced = case
+        value, _, weights, block = _mc_forward(**args)
+        assert np.all(weights[forced] == 0.0)
+        expected = full_row_grads(
+            args["diag_raw"], args["labels"], args["eps_factor"], args["eps_diag"],
+            weights, block,
+        )
+        loss, grads = loss_and_grads(**args)
+        assert same_bytes(loss, value)
+        for got, want in zip(grads, expected):
+            assert same_bytes(got, want)
+
+    def test_tiny_non_zero_weight_still_counts(self):
+        """The heavy sample predicts both labels with probability exactly 1,
+        so the whole gradient comes from a sample of weight about 1e-304."""
+        from ssn_lab.likelihood import _mc_forward, loss_and_grads
+
+        scale = np.sqrt(effective_diag(-60.0))
+        args = dict(
+            mean=np.full(2, 40.0),
+            factor=np.zeros((2, 2)),
+            diag_raw=np.full(2, -60.0),
+            labels=LabelMap(labels=np.array([1, 1]), num_classes=1),
+            eps_factor=np.zeros((2, 2)),
+            eps_diag=np.array([[0.0, 0.0], [-740.0 / scale, 0.0]]),
+        )
+        value, _, weights, block = _mc_forward(**args)
+        assert 0.0 < weights[1] < 1e-300
+        expected = full_row_grads(
+            args["diag_raw"], args["labels"], args["eps_factor"], args["eps_diag"],
+            weights, block,
+        )
+        _, grads = loss_and_grads(**args)
+        assert grads.mean[0] < 0.0
+        for got, want in zip(grads, expected):
+            assert same_bytes(got, want)
+
+    @pytest.mark.parametrize("num_classes", [1, 2, 3])
+    def test_caller_logits_are_left_unchanged(self, num_classes):
+        labels = random_labels(4, 9, num_classes, with_mask=True)
+        logits = PortableRng(4).standard_normal(9 * num_classes)
+        before = logits.copy()
+        label_log_likelihood(logits, labels)
+        cross_entropy_loss(logits, labels)
+        assert same_bytes(logits, before)
+
+    @pytest.mark.parametrize("num_classes,seed", [(1, 2), (2, 2), (4, 2)])
+    def test_per_sample_loglik_survives_the_gradient(self, num_classes, seed):
+        dist, labels = paper_size_case(num_classes, seed, 0.3)
+        loss = ssn_mc_loss(dist, labels, 20, rng_seed=seed)
+        before = loss.per_sample_loglik.copy()
+        grad_ssn_mc_loss(dist, labels, loss.noise)
+        assert same_bytes(loss.per_sample_loglik, before)
 
 
 class TestForwardReuse:

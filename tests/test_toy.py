@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,26 @@ class TestTraining:
             (checkpoint.mean, checkpoint.factor, checkpoint.diag_raw), calls[-1]
         ):
             assert np.array_equal(kept, started)
+
+    @pytest.mark.parametrize("name", ["mean", "factor", "diag_raw"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_update_stops_without_warning(self, monkeypatch, name, value):
+        """A gradient of nan, +inf or -inf makes the updated parameter nan,
+        -inf or +inf; the bounds check stops on it, and numpy stays quiet."""
+        config = TrainConfig(seed=6, pretrain_iterations=20, iterations=4, mc_samples=20)
+        real = ssn_lab.toy.loss_and_grads
+
+        def poisoned(*args):
+            loss, grads = real(*args)
+            bad = np.full_like(getattr(grads, name), value)
+            return loss, grads._replace(**{name: bad})
+
+        monkeypatch.setattr(ssn_lab.toy, "loss_and_grads", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = train_toy(config, covariance_mode="lowrank")
+        assert report.stop_reason == "overflow_early_stop"
+        assert report.loss_trace.size == config.pretrain_iterations + 1
 
     def test_phase_boundary_matches_pretraining_length(self):
         config = TrainConfig(seed=4, **QUICK)
