@@ -148,7 +148,7 @@ class TestMcLoss:
         dist = random_instance(9, max_dim=8, max_rank=3)
         labels = random_labels(9, dist.num_pixels, 1)
         result = ssn_mc_loss(dist, labels, 13, rng_seed=3)
-        from scipy.special import expit, logsumexp
+        from scipy.special import logsumexp
 
         recomputed = -logsumexp(result.per_sample_loglik) + np.log(13)
         assert result.value == pytest.approx(recomputed, abs=1e-12)
@@ -321,6 +321,10 @@ class TestLogsumexpKernel:
         lse, shifted = _logsumexp(x)
         assert same_bytes(lse, logsumexp(x, axis=2))
         assert same_bytes(shifted, np.exp(x - x.max(axis=2, keepdims=True)))
+        buffer = x.copy()
+        lse_in_place, numer = _logsumexp(buffer, overwrite=True)
+        assert numer is buffer
+        assert same_bytes(lse_in_place, lse) and same_bytes(numer, shifted)
 
     @settings(max_examples=300, deadline=None)
     @given(
