@@ -419,6 +419,20 @@ class TestMetricsCommand:
         assert code == 4
         assert_one_error_line(capsys)
 
+    def test_fractional_label_is_io_error(self, tmp_path, capsys):
+        maps = tmp_path / "maps"
+        maps.mkdir()
+        (maps / "a.json").write_text(
+            '{"shape":[3],"num_classes":1,"labels":[1.7,0,1]}'
+        )
+        code = main(
+            ["metrics", "--gt", str(maps), "--pred", str(maps),
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 4
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
     def test_malformed_pgm_header_is_io_error(self, tmp_path, capsys):
         maps = tmp_path / "maps"
         maps.mkdir()

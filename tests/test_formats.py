@@ -218,6 +218,60 @@ class TestLabelMapFiles:
         assert loaded is None or isinstance(loaded[0], LabelMap)
 
 
+class TestStrictFields:
+    """Integer fields take only integral JSON numbers, never booleans, and
+    masks only ``true``/``false``: each document below loads on a coercing
+    reader as a different, valid map or model."""
+
+    LABEL_MAPS = {
+        "fractional-label": {"shape": [3], "num_classes": 1, "labels": [1.7, 0, 1]},
+        "boolean-label": {"shape": [3], "num_classes": 1, "labels": [True, 0, 1]},
+        "non-boolean-mask": {
+            "shape": [4], "num_classes": 1, "labels": [1, 0, 1, 0],
+            "mask": [1, 0, 2, "x"],
+        },
+        "integer-mask": {
+            "shape": [2], "num_classes": 1, "labels": [1, 0], "mask": [1, 0],
+        },
+        "fractional-shape": {"shape": [1.9, 2], "num_classes": 1, "labels": [1, 0]},
+        "fractional-num-classes": {"shape": [2], "num_classes": 1.5, "labels": [1, 0]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(LABEL_MAPS))
+    def test_coercible_label_map_rejected(self, tmp_path, case):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(self.LABEL_MAPS[case]))
+        with pytest.raises(ValidationError, match="map.json"):
+            formats.load_label_map(path)
+
+    SSNT_MUTATIONS = {
+        "fractional-S": lambda d: d.update(S=4.9),
+        "boolean-R": lambda d: d.update(R=True),
+        "fractional-tensor-shape": lambda d: d["mean"].update(shape=[4.2]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SSNT_MUTATIONS))
+    def test_coercible_ssnt_rejected(self, tmp_path, case):
+        path = tmp_path / "model.ssnt"
+        model = LowRankGaussian(np.zeros(4), np.ones((4, 1)), np.zeros(4), 4, 1, 1)
+        formats.save_distribution(path, model)
+        document = json.loads(path.read_text())
+        self.SSNT_MUTATIONS[case](document)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValidationError, match="model.ssnt"):
+            formats.load_distribution(path)
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(
+            '{"shape":[2.0,1],"num_classes":2e0,"labels":[1.0,0],'
+            '"mask":[true,false]}'
+        )
+        label_map, shape = formats.load_label_map(path)
+        assert shape == [2, 1] and label_map.num_classes == 2
+        assert label_map.labels.tolist() == [1, 0]
+
+
 class TestPgmPlots:
     def test_plot_writes_scale_sidecar(self, tmp_path):
         image = np.linspace(-2.0, 3.0, 12).reshape(3, 4)
