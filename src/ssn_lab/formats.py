@@ -25,13 +25,23 @@ SSNT_FORMAT = "SSNT"
 SSNT_VERSION = 1
 
 
+def _integers(values, what: str) -> list[int]:
+    """A JSON list of integral numbers (``2`` or ``2.0``, never ``2.5`` or
+    ``true``) as Python ints; anything else raises ValidationError."""
+    if not isinstance(values, list) or not all(
+        type(v) is int or type(v) is float and v.is_integer() for v in values
+    ):
+        raise ValidationError(f"{what} must be a list of integers")
+    return [int(v) for v in values]
+
+
 def _tensor_payload(array: np.ndarray) -> dict:
     return {"shape": list(array.shape), "data": array.reshape(-1).tolist()}
 
 
 def _tensor_from_payload(payload, name: str) -> np.ndarray:
     try:
-        shape = tuple(int(s) for s in payload["shape"])
+        shape = tuple(_integers(payload["shape"], "shape"))
         data = np.asarray(payload["data"], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"malformed tensor {name!r}: {err}") from err
@@ -72,12 +82,9 @@ def load_distribution(path) -> LowRankGaussian:
             f"unsupported SSNT version {document.get('version')!r} in {path}"
         )
     try:
-        num_pixels = int(document["S"])
-        num_classes = int(document["C"])
-        rank = int(document["R"])
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ValidationError(f"malformed SSNT dimensions in {path}") from err
-    try:
+        num_pixels, num_classes, rank = _integers(
+            [document.get(key) for key in "SCR"], "SSNT dimensions S, C, R"
+        )
         return LowRankGaussian(
             mean=_tensor_from_payload(document.get("mean"), "mean"),
             factor=_tensor_from_payload(document.get("factor"), "factor"),
@@ -109,12 +116,17 @@ def load_label_map(path) -> tuple[LabelMap, list[int]]:
     """Read a JSON label map; returns the map and its pixel shape."""
     document = _read_json(path)
     try:
-        shape = [int(s) for s in document["shape"]]
+        shape = _integers(document["shape"], "shape")
+        (num_classes,) = _integers([document["num_classes"]], "num_classes")
         mask = document.get("mask")
+        if mask is not None and not (
+            isinstance(mask, list) and all(type(b) is bool for b in mask)
+        ):
+            raise ValidationError("mask must be a list of true/false")
         label_map = LabelMap(
-            labels=np.asarray(document["labels"], dtype=np.int64),
-            num_classes=int(document["num_classes"]),
-            mask=None if mask is None else np.asarray(mask, dtype=bool),
+            labels=_integers(document["labels"], "labels"),
+            num_classes=num_classes,
+            mask=mask,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"malformed label map file {path}: {err}") from err
