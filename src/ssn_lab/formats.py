@@ -23,11 +23,11 @@ from .lowrank import LowRankGaussian
 
 SSNT_FORMAT = "SSNT"
 SSNT_VERSION = 1
+_TENSORS = ("mean", "factor", "diag_raw")
 
 
 def _integers(values, what: str) -> list[int]:
-    """A JSON list of integral numbers (``2`` or ``2.0``, never ``2.5`` or
-    ``true``) as Python ints; anything else raises ValidationError."""
+    """A JSON list of integral numbers, not fractions or booleans, as ints."""
     if not isinstance(values, list) or not all(
         type(v) is int or type(v) is float and v.is_integer() for v in values
     ):
@@ -59,9 +59,7 @@ def save_distribution(path, dist: LowRankGaussian) -> None:
         "S": dist.num_pixels,
         "C": dist.num_classes,
         "R": dist.rank,
-        "mean": _tensor_payload(dist.mean),
-        "factor": _tensor_payload(dist.factor),
-        "diag_raw": _tensor_payload(dist.diag_raw),
+        **{name: _tensor_payload(getattr(dist, name)) for name in _TENSORS},
     }
     Path(path).write_text(json.dumps(document, separators=(",", ":")) + "\n")
 
@@ -82,17 +80,9 @@ def load_distribution(path) -> LowRankGaussian:
             f"unsupported SSNT version {document.get('version')!r} in {path}"
         )
     try:
-        num_pixels, num_classes, rank = _integers(
-            [document.get(key) for key in "SCR"], "SSNT dimensions S, C, R"
-        )
-        return LowRankGaussian(
-            mean=_tensor_from_payload(document.get("mean"), "mean"),
-            factor=_tensor_from_payload(document.get("factor"), "factor"),
-            diag_raw=_tensor_from_payload(document.get("diag_raw"), "diag_raw"),
-            num_pixels=num_pixels,
-            num_classes=num_classes,
-            rank=rank,
-        )
+        tensors = [_tensor_from_payload(document.get(name), name) for name in _TENSORS]
+        dims = _integers([document.get(key) for key in "SCR"], "SSNT dimensions")
+        return LowRankGaussian(*tensors, *dims)
     except (ShapeError, ValidationError) as err:
         raise ValidationError(f"{path}: {err}") from err
 
@@ -118,16 +108,11 @@ def load_label_map(path) -> tuple[LabelMap, list[int]]:
     try:
         shape = _integers(document["shape"], "shape")
         (num_classes,) = _integers([document["num_classes"]], "num_classes")
-        mask = document.get("mask")
-        if mask is not None and not (
+        if (mask := document.get("mask")) is not None and not (
             isinstance(mask, list) and all(type(b) is bool for b in mask)
         ):
             raise ValidationError("mask must be a list of true/false")
-        label_map = LabelMap(
-            labels=_integers(document["labels"], "labels"),
-            num_classes=num_classes,
-            mask=mask,
-        )
+        label_map = LabelMap(_integers(document["labels"], "labels"), num_classes, mask)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"malformed label map file {path}: {err}") from err
     if label_map.num_pixels != math.prod(shape):

@@ -118,7 +118,9 @@ def _logsumexp(x: np.ndarray, overwrite: bool = False):
     ``m`` maxima, divide by ``m``, return ``log1p(s) + log(m) + max``. Over
     a short last axis, max and ``m`` fold over its slices, exact and far
     quicker than numpy's reduction. Also returns ``exp(x - max)``, exact
-    where the max is finite, written into ``x`` itself if ``overwrite``."""
+    where the max is finite, written into ``x`` itself if ``overwrite``.
+    Two classes with finite maxima need no ``m``: the max's term is 1.0,
+    and a tie's ``log1p(0) + log(2)`` is ``log1p(1.0)`` bit for bit."""
     with np.errstate(all="ignore"):
         if x.ndim == 1:
             top = x.max()
