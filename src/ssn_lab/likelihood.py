@@ -75,11 +75,6 @@ class LabelMap:
     def num_pixels(self) -> int:
         return int(self.labels.size)
 
-    @property
-    def effective_classes(self) -> int:
-        """Distinct label values: 2 for single-logit binary maps."""
-        return max(self.num_classes, 2)
-
     def active_mask(self) -> np.ndarray:
         if self.mask is None:
             return np.ones(self.num_pixels, dtype=bool)
@@ -128,6 +123,14 @@ def _logsumexp(x: np.ndarray, overwrite: bool = False):
             count = np.count_nonzero(ismax)
         else:
             top = functools.reduce(np.maximum, np.moveaxis(x, -1, 0))
+            if x.shape[-1] == 2 and np.isfinite(top).all():
+                shifted = x if overwrite else np.empty_like(x)
+                for k in (0, 1):  # faster than a broadcast over the length-2 axis
+                    np.subtract(x[..., k], top, out=shifted[..., k])
+                np.exp(shifted, out=shifted)
+                lse = np.minimum(shifted[..., 0], shifted[..., 1])
+                # In place: a new array would cost as much in page faults.
+                return np.add(np.log1p(lse, out=lse), top, out=lse), shifted
             ismax = x == top[..., None]
             count = functools.reduce(np.add, np.moveaxis(ismax, -1, 0), 0)
         shifted = np.subtract(x, top[..., None], out=x if overwrite else None)

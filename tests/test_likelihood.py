@@ -326,6 +326,62 @@ class TestLogsumexpKernel:
         assert numer is buffer
         assert same_bytes(lse_in_place, lse) and same_bytes(numer, shifted)
 
+    def test_log1p_of_one_is_log_of_two(self):
+        # The two-class closed form returns log1p(1.0) + max for a tie,
+        # where scipy returns log1p(0.0) + log(2.0) + max: the same bits
+        # only while this holds in the platform's libm.
+        assert np.log1p(1.0).tobytes() == np.log(2.0).tobytes()
+        assert (np.log1p(0.0) + np.log(2.0)).tobytes() == np.log(2.0).tobytes()
+
+    PAIR_KINDS = ("free", "tie", "ulp", "-inf", "+inf", "nan", "all-inf")
+
+    @staticmethod
+    def class_pair(kind, a, b, side):
+        """Two class logits of one pixel: a free pair, a tie, a near-tie one
+        ulp apart (``exp`` of the gap rounds to 1.0), or ``a`` next to a
+        ``-inf``, ``+inf`` or ``nan``; ``side`` picks the order."""
+        other = {
+            "free": b, "tie": a, "ulp": np.nextafter(a, 0.0), "-inf": -np.inf,
+            "+inf": np.inf, "nan": np.nan, "all-inf": -np.inf,
+        }[kind]
+        pair = [-np.inf if kind == "all-inf" else a, other]
+        return pair[::-1] if side else pair
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(PAIR_KINDS),
+                st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False,
+                                                          allow_infinity=False)),
+                st.floats(-1e3, 1e3),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.sampled_from([(1, -1, 2), (-1, 2), (2, -1, 2)]),
+    )
+    def test_two_classes_match_scipy(self, pairs, shape):
+        """The closed form for two classes, and its fallback to the general
+        path for a non-finite maximum (+inf, nan, all -inf): scipy's bytes
+        and ``exp(x - max)``'s wherever the maximum is finite."""
+        from ssn_lab.likelihood import _logsumexp
+
+        if shape[0] == 2 and len(pairs) % 2:
+            pairs = pairs + pairs[:1]
+        x = np.array([self.class_pair(*pair) for pair in pairs]).reshape(shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = logsumexp(x, axis=-1)
+            numer = np.exp(x - x.max(axis=-1, keepdims=True))
+        finite = np.isfinite(x.max(axis=-1))
+        for overwrite in (False, True):
+            buffer = x.copy()
+            lse, shifted = _logsumexp(buffer, overwrite=overwrite)
+            assert (shifted is buffer) == overwrite
+            assert same_bytes(lse, expected)
+            assert same_bytes(shifted[finite], numer[finite])
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 16).flatmap(
