@@ -42,10 +42,8 @@ class PortableRng:
         k = self._bits.integers(0, 1 << 53, size=size, dtype=np.int64)
         return (np.asarray(k, dtype=np.float64) + 0.5) * 2.0**-53
 
-    def standard_normal(self, size=None) -> np.ndarray:
+    def standard_normal(self, size) -> np.ndarray:
         """Inverse-CDF normals, ``ndtri(uniform_open(size))`` bit for bit."""
-        if size is None:
-            return ndtri(self.uniform_open())
         out = np.empty(size)
         flat = out.reshape(-1)
         half = _split_point(flat.size)

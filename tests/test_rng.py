@@ -86,12 +86,6 @@ def test_split_draw_continues_the_stream(small_thresholds, size, buffered):
     assert split.integers(0, 2, 9).tolist() == serial.integers(0, 2, 9).tolist()
 
 
-def test_unsized_draw_is_a_scalar(small_thresholds):
-    value = PortableRng(4).standard_normal()
-    assert np.ndim(value) == 0 and isinstance(value, float)
-    assert value == one_shot(4, 1)[0]
-
-
 def test_one_cpu_keeps_the_draw_on_the_calling_thread(small_thresholds, monkeypatch):
     monkeypatch.setattr(rng_module.os, "sched_getaffinity", lambda pid: {0})
     got = PortableRng(2).standard_normal(4 * SMALL_SPLIT)
