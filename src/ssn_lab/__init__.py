@@ -31,6 +31,7 @@ from .likelihood import (
     grad_ssn_mc_loss,
     gradient_check_suite,
     label_log_likelihood,
+    labels_from_logits,
     ssn_mc_loss,
 )
 from .metrics import (
@@ -101,6 +102,7 @@ __all__ = [
     "gradient_check_suite",
     "iou_distance",
     "label_log_likelihood",
+    "labels_from_logits",
     "make_toy_dataset",
     "marginal_entropy",
     "mix_seed",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .likelihood import LabelMap
+from .likelihood import LabelMap, labels_from_logits
 from .lowrank import LowRankGaussian, effective_diag_inv
 
 
@@ -186,11 +186,5 @@ def apply_deviation_scale(
 def most_likely_prediction(dist: LowRankGaussian) -> LabelMap:
     """Label map of the distribution mean: per-pixel argmax over classes,
     or threshold at logit 0 for single-logit maps (ties go to background)."""
-    if dist.num_classes == 1:
-        labels = (dist.mean > 0.0).astype(np.int64)
-        return LabelMap(labels=labels, num_classes=1)
-    per_pixel = dist.mean.reshape(dist.num_pixels, dist.num_classes)
-    return LabelMap(
-        labels=np.argmax(per_pixel, axis=1).astype(np.int64),
-        num_classes=dist.num_classes,
-    )
+    labels = labels_from_logits(dist.mean[None, :], dist.num_classes)
+    return LabelMap(labels=labels[0], num_classes=dist.num_classes)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import formats
 from .assembly import DeviationScale, apply_deviation_scale
-from .errors import DivergenceError, ShapeError, ValidationError
-from .likelihood import LabelMap, gradient_check_suite
+from .errors import DivergenceError, OverflowSignal, ShapeError, ValidationError
+from .likelihood import LabelMap, gradient_check_suite, labels_from_logits
 from .metrics import SampleSet, ged_squared
 from .rng import mix_seed
 from .toy import (
@@ -130,18 +130,16 @@ def cmd_toy_eval(args) -> int:
     if (model.num_pixels, model.num_classes) != (TOY_LENGTH, 1):
         got = f"{model.num_pixels} pixels x {model.num_classes} classes"
         raise UsageError(f"toy-eval needs {TOY_LENGTH} pixels x 1 class, got {got}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     evaluation = evaluate_toy(
         model, n_samples=args.samples, n_lik_samples=args.lik_samples, seed=args.seed
     )
-    payload = asdict(evaluation)
-    del payload["covariance"]  # plotted below, not written
-    _write_json(out / "eval.json", payload)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "eval.json", asdict(evaluation))
     formats.write_pgm_plot(
         out / "mean.pgm", formats.expand_line(model.mean, _PLOT_COLUMN_WIDTH)
     )
-    formats.write_pgm_plot(out / "covariance.pgm", evaluation.covariance)
+    formats.write_pgm_plot(out / "covariance.pgm", model.dense_covariance())
     plot_samples, _ = model.sample(_SAMPLE_PLOT_COLUMNS, mix_seed(args.seed, 0xF1C))
     columns = [
         formats.expand_line(row, _PLOT_COLUMN_WIDTH) for row in plot_samples
@@ -180,10 +178,7 @@ def cmd_sample(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     samples, _ = model.sample(args.n, args.seed)
-    if model.num_classes == 1:
-        rows = (samples > args.threshold).astype(np.int64)
-    else:
-        rows = np.argmax(samples.reshape(args.n, model.num_pixels, -1), axis=2)
+    rows = labels_from_logits(samples, model.num_classes, args.threshold)
     width = len(str(args.n - 1))
     for index, labels in enumerate(rows):
         label_map = LabelMap(labels=labels, num_classes=model.num_classes)
@@ -381,8 +376,8 @@ def main(argv=None) -> int:
         failure, code = err, EXIT_USAGE
     except DivergenceError as err:
         failure, code = err, EXIT_DIVERGENCE
-    except (OSError, ShapeError, ValidationError) as err:
-        # What reaches here from a command comes from reading or writing files.
+    except (OSError, ShapeError, ValidationError, OverflowSignal) as err:
+        # Files that cannot be read or written, or a model whose samples overflow.
         failure, code = err, EXIT_IO
     print(f"error: {failure}", file=sys.stderr)
     return code

@@ -81,6 +81,17 @@ class LabelMap:
         return self.mask
 
 
+def labels_from_logits(logit_rows, num_classes: int, threshold: float = 0.0):
+    """The ``[n, pixels]`` int64 label matrix of ``[n, pixels * num_classes]``
+    logit rows: a single logit is labelled 1 above ``threshold`` (a tie goes
+    to background); two or more classes take the per-pixel argmax, the first
+    class winning a tie."""
+    if num_classes == 1:
+        return (logit_rows > threshold).astype(np.int64)
+    n, dim = logit_rows.shape
+    return np.argmax(logit_rows.reshape(n, dim // num_classes, num_classes), axis=2)
+
+
 @dataclass(frozen=True)
 class LossValue:
     """Monte-Carlo loss with the parts needed to reproduce it exactly."""
@@ -352,7 +363,7 @@ _REL_TOL, _ABS_FLOOR = 1e-4, 1e-7
 
 def gradient_check_suite(trials: int, seed: int) -> GradCheckResult:
     """Compare analytic gradients against central differences (step 1e-5)
-    on random small instances (pixels <= 8, classes in {1, 3}, rank <= 3,
+    on random small instances (pixels <= 8, classes 1 to 3, rank <= 3,
     samples <= 5).
 
     A coordinate passes when `|analytic - numeric|` is within
@@ -364,7 +375,7 @@ def gradient_check_suite(trials: int, seed: int) -> GradCheckResult:
     for trial in range(trials):
         rng = PortableRng(mix_seed(seed, trial))
         num_pixels = int(rng.integers(1, 9))
-        num_classes = 1 if int(rng.integers(0, 2)) == 0 else 3
+        num_classes = int(rng.integers(1, 4))
         rank = int(rng.integers(1, 4))
         num_samples = int(rng.integers(1, 6))
         params = {

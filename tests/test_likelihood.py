@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ssn_lab import (
     grad_ssn_mc_loss,
     gradient_check_suite,
     label_log_likelihood,
+    labels_from_logits,
     make_toy_dataset,
     mix_seed,
     ssn_mc_loss,
@@ -96,6 +98,52 @@ class TestCrossEntropy:
         labels = toy_binary([1, 0], mask=[False, False])
         with pytest.warns(UserWarning):
             assert cross_entropy_loss(np.array([3.0, -1.0]), labels) == 0.0
+
+
+@st.composite
+def logit_batches(draw):
+    """Logit rows over 1-4 classes from a few values, so that ties between
+    classes and with the threshold are common."""
+    num_classes = draw(st.integers(1, 4))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 6)) * num_classes)
+    rows = draw(hnp.arrays(np.float64, shape, elements=values))
+    return rows, num_classes, draw(st.sampled_from([0.0, 0.5, -1.0]))
+
+
+class TestLabelsFromLogits:
+    """One function labels logit samples for sampling, toy evaluation and
+    the most likely prediction; it must give the bytes each gave itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(logit_batches())
+    def test_matches_the_expressions_it_replaces(self, case):
+        rows, num_classes, threshold = case
+        n, dim = rows.shape
+        pixels = dim // num_classes
+        got = labels_from_logits(rows, num_classes, threshold)
+        assert got.dtype == np.int64
+        if num_classes == 1:
+            sampled = (rows > threshold).astype(np.int64)  # the sample command
+            assert np.array_equal(got, sampled)
+            assert np.array_equal(labels_from_logits(rows, 1), rows > 0.0)  # toy eval
+            mode = (rows[0] > 0.0).astype(np.int64)  # most likely prediction
+        else:
+            sampled = np.argmax(rows.reshape(n, pixels, -1), axis=2)
+            assert np.array_equal(got, sampled)
+            mode = np.argmax(rows[0].reshape(pixels, num_classes), axis=1)
+        assert np.array_equal(labels_from_logits(rows[:1], num_classes)[0], mode)
+
+    def test_tie_at_the_threshold_is_background(self):
+        rows = np.array([[0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]])
+        assert labels_from_logits(rows, 1, 0.5).tolist() == [[0, 1, 0]]
+        assert labels_from_logits(np.array([[0.0, -0.0]]), 1).tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 4])
+    def test_tied_classes_go_to_the_first(self, num_classes):
+        rows = np.zeros((1, 2 * num_classes))
+        rows[0, num_classes + 1 :] = 1.0
+        assert labels_from_logits(rows, num_classes).tolist() == [[0, 1]]
 
 
 def degenerate_dist(mean, rank=1):
@@ -828,3 +876,44 @@ class TestFiniteDifferences:
         result = gradient_check_suite(trials=20, seed=7)
         assert result.failures == 0
         assert result.max_rel_error < 1e-4
+
+    def test_gradient_check_suite_draws_one_to_three_classes(self, monkeypatch):
+        import ssn_lab.likelihood as likelihood
+
+        seen = []
+        kernel = likelihood.loss_and_grads
+
+        def recording(*args, labels, **kwargs):
+            seen.append(labels.num_classes)
+            return kernel(*args, labels=labels, **kwargs)
+
+        monkeypatch.setattr(likelihood, "loss_and_grads", recording)
+        assert gradient_check_suite(trials=20, seed=1).failures == 0
+        assert set(seen) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("factor_scale", [0.005, 0.3])
+def test_paper_size_two_class_directional_derivative(factor_scale):
+    """<grad, v> against a central difference (step 1e-5) along a seeded unit
+    direction, at the paper's size and two classes. At factor scale 0.3 most
+    Monte-Carlo weights are exactly 0, so the backward pass drops their rows."""
+    dist, labels = paper_size_case(2, 1, factor_scale)
+    rng = PortableRng(mix_seed(1, 0xD1))
+    names = ("mean", "factor", "diag_raw")
+    direction = {name: rng.standard_normal(getattr(dist, name).shape) for name in names}
+    norm = np.sqrt(sum(float(np.sum(v * v)) for v in direction.values()))
+    noise_seed, step = 5, 1e-5
+
+    def loss_at(offset):
+        moved = {n: getattr(dist, n) + (offset / norm) * direction[n] for n in names}
+        return ssn_mc_loss(replace(dist, **moved), labels, 20, noise_seed).value
+
+    loss = ssn_mc_loss(dist, labels, 20, noise_seed)
+    loglik = loss.per_sample_loglik
+    zero_weights = np.count_nonzero(np.exp(loglik - loglik.max()) == 0.0)
+    assert (zero_weights >= 10) if factor_scale == 0.3 else (zero_weights == 0)
+    grads = grad_ssn_mc_loss(dist, labels, loss.noise)
+    analytic = sum(float(np.sum(g * direction[n])) for n, g in zip(names, grads)) / norm
+    numeric = (loss_at(step) - loss_at(-step)) / (2.0 * step)
+    tolerance = max(1e-7, 1e-4 * max(abs(analytic), abs(numeric)))
+    assert abs(analytic - numeric) <= tolerance

@@ -218,6 +218,70 @@ class TestDscNod:
         assert dsc_nod(x, gts) == 1.0
 
 
+def reference_dsc(pred, gt, cls):
+    """Dice of one class from Python integer counts, one pair of maps."""
+    in_pred = pred.labels == cls
+    in_gt = gt.labels == cls
+    denominator = int(in_pred.sum()) + int(in_gt.sum())
+    if denominator == 0:
+        return None
+    return 2.0 * int((in_pred & in_gt).sum()) / denominator
+
+
+def reference_dsc_nod(pred, gts):
+    """Dice averaged over defined classes, then over non-empty ground
+    truths, one label map at a time."""
+    scores = []
+    for gt in gts.samples:
+        if not np.any(gt.labels > 0):
+            continue
+        per_class = [
+            reference_dsc(pred, gt, cls) for cls in range(1, max(gts.num_classes, 2))
+        ]
+        scores.append(float(np.mean([s for s in per_class if s is not None])))
+    return float(np.mean(scores)) if scores else None
+
+
+@st.composite
+def dice_cases(draw):
+    """A prediction and ground truths over 1-5 classes, some of the ground
+    truths (all of them, at times) forced empty."""
+    num_classes = draw(st.integers(1, 5))
+    labels = st.integers(0, max(num_classes, 2) - 1)
+    pixels = draw(st.integers(1, 12))
+    rows = draw(arrays(np.int64, (draw(st.integers(1, 8)), pixels), elements=labels))
+    rows[draw(arrays(bool, len(rows)))] = 0
+    pred = draw(arrays(np.int64, pixels, elements=labels))
+    return (
+        LabelMap(labels=pred, num_classes=num_classes),
+        SampleSet(labels=rows, num_classes=num_classes),
+    )
+
+
+class TestDiceOnLabelRows:
+    """Dice over the label matrix keeps the bytes of the per-map loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(dice_cases())
+    def test_dsc_nod_matches_per_map_loop(self, case):
+        pred, gts = case
+        got, expected = dsc_nod(pred, gts), reference_dsc_nod(pred, gts)
+        if expected is None:
+            assert got is None
+        else:
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(dice_cases())
+    def test_dsc_matches_per_pair_counts(self, case):
+        pred, gts = case
+        for gt in gts.samples:
+            for cls in range(max(gts.num_classes, 2)):
+                got, expected = dsc(pred, gt, cls), reference_dsc(pred, gt, cls)
+                assert type(got) is type(expected)
+                assert got == expected
+
+
 class TestMarginalEntropy:
     def test_maximal_binary_entropy(self):
         rows = np.array([[0.5, 0.5], [0.5, 0.5]])

@@ -42,8 +42,6 @@ class TestDataset:
 
     def test_equiprobable_binary_maps(self):
         data = make_toy_dataset()
-        assert data.probabilities == (0.5, 0.5)
-        assert data.length == 21
         assert all(m.num_classes == 1 for m in data.maps)
 
 
@@ -188,7 +186,6 @@ class TestEvaluation:
         assert evaluation.histogram["map2"] == pytest.approx(0.5, abs=0.02)
         assert evaluation.histogram["other"] <= 0.01
         assert evaluation.diversity == pytest.approx(0.25, abs=0.02)
-        assert evaluation.covariance.shape == (21, 21)
 
     def test_ideal_model_nll_matches_quadrature_oracle(self, toy_ideal_model):
         evaluation = evaluate_toy(
