@@ -20,6 +20,7 @@ from scipy.special import expit
 
 from .errors import OverflowSignal, ShapeError, ValidationError
 from .lowrank import (
+    _BLOCK,
     LowRankGaussian,
     NoiseDraw,
     check_logits,
@@ -152,12 +153,12 @@ def _logsumexp(x: np.ndarray, overwrite: bool = False):
         return np.log1p(s) + np.log(count) + top, shifted
 
 
-def _label_terms(logit_rows: np.ndarray, labels: LabelMap, overwrite=False):
+def _label_terms(logit_rows: np.ndarray, labels: LabelMap):
     """Per-row label log-likelihood of a [n, num_pixels * num_classes]
     batch and, for two or more classes, each pixel's softmax numerator
     ``exp(eta - max)`` [n, num_pixels, num_classes] (None for one logit),
-    written over ``logit_rows`` if ``overwrite``."""
-    n = logit_rows.shape[0]
+    written over ``logit_rows`` in row blocks of about ``_BLOCK`` elements."""
+    n, dim = logit_rows.shape
     active = labels.active_mask()
     # A non-finite sample makes a nan or an inf - inf here; the forward
     # pass's finiteness check raises OverflowSignal for it, and numpy's
@@ -169,24 +170,26 @@ def _label_terms(logit_rows: np.ndarray, labels: LabelMap, overwrite=False):
             eta = logit_rows[:, active]
             # log sigmoid(eta) = -softplus(-eta); label 0 flips the sign of eta
             sign = np.where(labels.labels[active] == 1, 1.0, -1.0)
-            terms, numer = -np.logaddexp(0.0, -sign[None, :] * eta), None
+            loglik, numer = (-np.logaddexp(0.0, -sign * eta)).sum(axis=1), None
         else:
-            eta = logit_rows.reshape(n, labels.num_pixels, labels.num_classes)
-            picked = np.take_along_axis(eta, labels.labels[None, :, None], axis=2)
-            log_norm, numer = _logsumexp(eta, overwrite)
-            # Each row sums pairwise over a C-contiguous [n, active] copy; the
-            # plain, F-ordered one would sum in order, to other bits.
-            terms = np.ascontiguousarray((picked[:, :, 0] - log_norm)[:, active])
+            numer = logit_rows.reshape(n, labels.num_pixels, labels.num_classes)
+            picks = np.arange(labels.num_pixels) * labels.num_classes + labels.labels
+            keep, loglik = np.flatnonzero(active), np.empty(n)
+            step = max(1, _BLOCK // max(1, dim))
+            for start in range(0, n, step):
+                rows = slice(start, start + step)
+                terms = np.take(logit_rows[rows], picks, axis=1)
+                terms -= _logsumexp(numer[rows], overwrite=True)[0]
+                loglik[rows] = np.take(terms, keep, axis=1).sum(axis=1)
     if not active.any():
         warnings.warn("all pixels masked out; log-likelihood is an empty sum")
-        return np.zeros(n), numer
-    return terms.sum(axis=1), numer
+    return loglik, numer
 
 
 def label_log_likelihood(logits, labels: LabelMap) -> float:
     """Sum over unmasked pixels of log p(label | logit block)."""
     x = check_logits(logits, labels.num_pixels * labels.num_classes)
-    return float(_label_terms(x[None, :], labels)[0][0])
+    return float(_label_terms(x[None, :].copy(), labels)[0][0])
 
 
 def cross_entropy_loss(logits, labels: LabelMap) -> float:
@@ -209,7 +212,7 @@ def _mc_forward(mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag):
     two or more classes. The one forward pass behind the loss, its gradient
     and the finite-difference oracle."""
     samples = reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag)
-    loglik, numer = _label_terms(samples, labels, overwrite=True)
+    loglik, numer = _label_terms(samples, labels)
     if not np.all(np.isfinite(loglik)):
         raise OverflowSignal("non-finite per-sample log-likelihood")
     lse, weights = _logsumexp(loglik)

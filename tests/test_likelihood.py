@@ -452,6 +452,68 @@ class TestLogsumexpKernel:
             assert same_bytes(_sum_last_axis(block), block.sum(axis=-1))
 
 
+def batch_label_terms(logit_rows, labels):
+    """The categorical label terms as one batch: the class-axis gather, the
+    logsumexp over the whole batch, then each row summed over a C-contiguous
+    copy of its active pixels. The reference for the row-block kernel."""
+    from ssn_lab.likelihood import _logsumexp
+
+    n = logit_rows.shape[0]
+    active = labels.active_mask()
+    eta = logit_rows.reshape(n, labels.num_pixels, labels.num_classes)
+    picked = np.take_along_axis(eta, labels.labels[None, :, None], axis=2)
+    with np.errstate(invalid="ignore"):
+        log_norm, numer = _logsumexp(eta)
+        terms = np.ascontiguousarray((picked[:, :, 0] - log_norm)[:, active])
+    loglik = terms.sum(axis=1) if active.any() else np.zeros(n)
+    return loglik, numer
+
+
+@st.composite
+def label_term_cases(draw):
+    """Categorical logit batches with ties, infinities and nans among the
+    classes, masks (all-masked ones too) and a block size that may split a
+    call into many row blocks."""
+    classes = draw(st.integers(2, 4))
+    n, pixels = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    values = st.one_of(
+        st.sampled_from([-1.0, 0.0, 0.5, 2.0, -np.inf, np.inf, np.nan]),
+        st.floats(-50.0, 50.0),
+    )
+    rows = draw(hnp.arrays(np.float64, (n, pixels * classes), elements=values))
+    labels = np.array(draw(st.lists(st.integers(0, classes - 1),
+                                    min_size=pixels, max_size=pixels)))
+    mask = draw(st.one_of(st.none(), hnp.arrays(bool, pixels)))
+    block = draw(st.sampled_from([1, 5, 16, 64, 1 << 15]))
+    return rows, LabelMap(labels=labels, num_classes=classes, mask=mask), block
+
+
+class TestRowBlockLabelTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(label_term_cases())
+    def test_row_blocks_match_the_batch_formula(self, case):
+        """The same bytes as one batch, the softmax numerators written over
+        the caller's rows, and one all-masked warning per call, however many
+        row blocks the call takes."""
+        from unittest import mock
+
+        from ssn_lab import likelihood
+
+        rows, labels, block = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want_loglik, want_numer = batch_label_terms(rows.copy(), labels)
+        buffer = rows.copy()
+        with mock.patch.object(likelihood, "_BLOCK", block), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loglik, numer = likelihood._label_terms(buffer, labels)
+        assert same_bytes(loglik, want_loglik)
+        assert same_bytes(numer, want_numer)
+        assert same_bytes(buffer.reshape(want_numer.shape), want_numer)
+        assert len(caught) == (0 if labels.active_mask().any() else 1)
+
+
 class TestOverflowContract:
     """A non-finite logit sample on a scored pixel makes its log-likelihood
     non-finite, and the forward pass raises ``OverflowSignal``: the toy

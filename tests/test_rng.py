@@ -27,11 +27,9 @@ def one_shot(seed, size):
 
 
 @pytest.fixture
-def small_thresholds(monkeypatch):
-    """Chunk and split thresholds small enough for fast tests, two usable
-    CPUs whatever the host has, and a record of which threads filled."""
-    monkeypatch.setattr(rng_module, "_CHUNK", SMALL_CHUNK)
-    monkeypatch.setattr(rng_module, "_SPLIT_MIN", SMALL_SPLIT)
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host has, and a record of which threads
+    filled: True for the calling thread."""
     monkeypatch.setattr(rng_module.os, "sched_getaffinity", lambda pid: {0, 1})
     fillers = []
     fill = rng_module._fill_normal
@@ -42,6 +40,15 @@ def small_thresholds(monkeypatch):
 
     monkeypatch.setattr(rng_module, "_fill_normal", recording_fill)
     return fillers
+
+
+@pytest.fixture
+def small_thresholds(monkeypatch, two_cpus):
+    """``two_cpus`` with chunk and split thresholds small enough for fast
+    tests."""
+    monkeypatch.setattr(rng_module, "_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(rng_module, "_SPLIT_MIN", SMALL_SPLIT)
+    return two_cpus
 
 
 SIZES = [
@@ -66,6 +73,18 @@ def test_sized_draw_equals_one_shot_reference(small_thresholds, seed, size):
 def test_default_thresholds_equal_one_shot_reference(size):
     got = PortableRng(size).standard_normal(size)
     assert got.tobytes() == one_shot(size, size).tobytes()
+
+
+@pytest.mark.parametrize(
+    "size, split", [(2**19, True), ((20, 32778), True), (2**19 - 1, False)]
+)
+def test_default_split_threshold(two_cpus, size, split):
+    """From 2**19 variates up a draw splits over two CPUs, the noise block of
+    a paper-size training step (20 samples, rank 10, 2 x 128 x 128 logits)
+    among them; one variate fewer stays on the calling thread."""
+    got = PortableRng(19).standard_normal(size)
+    assert got.tobytes() == one_shot(19, size).tobytes()
+    assert two_cpus and (False in two_cpus) == split
 
 
 @pytest.mark.parametrize("size", [SMALL_SPLIT, 3 * SMALL_SPLIT + 1])
