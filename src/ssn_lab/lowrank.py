@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NumericalError, ShapeError, SizeGuardError, ValidationError
 from .rng import PortableRng
@@ -156,6 +155,8 @@ class LowRankGaussian:
         factorisation of the capacitance matrix ``I + P^T D^-1 P``. The
         covariance itself is never materialised.
         """
+        from scipy.linalg import solve_triangular  # kept out of `import ssn_lab`
+
         x = check_logits(logits, self.dim)
         d = self.effective_diag
         factor_over_d = self.factor / d[:, None]
@@ -183,6 +184,8 @@ class LowRankGaussian:
 
     def dense_log_prob(self, logits) -> float:
         """Oracle log-density via a full Cholesky of the dense covariance."""
+        from scipy.linalg import solve_triangular
+
         x = check_logits(logits, self.dim)
         covariance = self.dense_covariance()
         chol = np.linalg.cholesky(covariance)
