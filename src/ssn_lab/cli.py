@@ -133,18 +133,23 @@ def cmd_toy_eval(args) -> int:
     evaluation = evaluate_toy(
         model, n_samples=args.samples, n_lik_samples=args.lik_samples, seed=args.seed
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "eval.json", asdict(evaluation))
-    formats.write_pgm_plot(
-        out / "mean.pgm", formats.expand_line(model.mean, _PLOT_COLUMN_WIDTH)
-    )
-    formats.write_pgm_plot(out / "covariance.pgm", model.dense_covariance())
+    with np.errstate(over="ignore"):  # an overflowed entry fails plot_image
+        covariance = model.dense_covariance()
     plot_samples, _ = model.sample(_SAMPLE_PLOT_COLUMNS, mix_seed(args.seed, 0xF1C))
     columns = [
         formats.expand_line(row, _PLOT_COLUMN_WIDTH) for row in plot_samples
     ]
-    formats.write_pgm_plot(out / "samples.pgm", np.hstack(columns))
+    plots = {
+        "mean.pgm": formats.expand_line(model.mean, _PLOT_COLUMN_WIDTH),
+        "covariance.pgm": covariance,
+        "samples.pgm": np.hstack(columns),
+    }
+    plots = {name: formats.plot_image(image) for name, image in plots.items()}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "eval.json", asdict(evaluation))
+    for name, image in plots.items():
+        formats.write_pgm_plot(out / name, image)
     print(
         f"nll_per_map={evaluation.nll_per_map:.4f} "
         f"diversity={evaluation.diversity:.4f} "

@@ -159,12 +159,20 @@ def _read_pgm_bytes(path) -> np.ndarray:
     return data.reshape(height, width)
 
 
-def write_pgm_plot(path, image: np.ndarray) -> None:
-    """Min-max normalise a float image to 8-bit PGM and record the scale in
-    a ``<name>.scale.json`` sidecar."""
+def plot_image(image) -> np.ndarray:
+    """``image`` as the 2-d float64 array of finite values a PGM plot scales."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValidationError(f"plot images must be 2-d, got {image.ndim}-d")
+    if not np.isfinite(image).all():
+        raise ValidationError("plot images must be finite, got an overflowed value")
+    return image
+
+
+def write_pgm_plot(path, image: np.ndarray) -> None:
+    """Min-max normalise a finite float image to 8-bit PGM and record the
+    scale in a ``<name>.scale.json`` sidecar."""
+    image = plot_image(image)
     low = float(image.min())
     high = float(image.max())
     if high > low:

@@ -226,6 +226,22 @@ class TestToyEval:
         assert_one_error_line(capsys)
         assert not out.exists()
 
+    def test_overflowing_covariance_is_io_error(self, tmp_path, capsys):
+        """Finite samples, but a dense covariance past the float range: one
+        error line, no overflow warning, and no output directory."""
+        model = LowRankGaussian(
+            np.zeros(21), np.full((21, 2), 1e200), np.zeros(21), 21, 1, 2
+        )
+        formats.save_distribution(tmp_path / "model.ssnt", model)
+        out = tmp_path / "eval"
+        code = main(
+            ["toy-eval", "--model", str(tmp_path / "model.ssnt"),
+             "--samples", "100", "--lik-samples", "100", "--out", str(out)]
+        )
+        assert code == 4
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_missing_model_is_io_error(self, tmp_path):
         code = main(
             ["toy-eval", "--model", str(tmp_path / "nope.ssnt"),

@@ -290,6 +290,14 @@ class TestPgmPlots:
         rendered = formats._read_pgm_bytes(path)
         assert np.all(rendered == 0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_rejected(self, tmp_path, value):
+        image = np.zeros((2, 3))
+        image[1, 2] = value
+        with pytest.raises(ValidationError, match="finite"):
+            formats.write_pgm_plot(tmp_path / "plot.pgm", image)
+        assert list(tmp_path.iterdir()) == []
+
     def test_expand_line_repeats_columns(self):
         image = formats.expand_line(np.array([1.0, 2.0]), width=3)
         assert image.shape == (2, 3)
