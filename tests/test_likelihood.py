@@ -1,6 +1,7 @@
 import hashlib
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -495,8 +496,6 @@ class TestRowBlockLabelTerms:
         """The same bytes as one batch, the softmax numerators written over
         the caller's rows, and one all-masked warning per call, however many
         row blocks the call takes."""
-        from unittest import mock
-
         from ssn_lab import likelihood
 
         rows, labels, block = case
