@@ -129,6 +129,7 @@ class TestToyTrain:
         )
         assert code == 0
         assert read_losses(tmp_path / "loss.csv") == read_losses(REFERENCE_TRACE)
+        assert (tmp_path / "loss.csv").read_bytes() == REFERENCE_TRACE.read_bytes()
 
     def test_huge_pretraining_rate_is_divergence(self, tmp_path, capsys):
         """A finite rate that throws the mean past the overflow bound is a
@@ -493,10 +494,14 @@ class TestRankSweepCommand:
         )
         assert code == 0
         sweep_lines = (out / "sweep.csv").read_text().strip().splitlines()
-        assert sweep_lines[0].startswith("rank,seed,nll")
+        assert sweep_lines[0] == "rank,seed,nll,diversity,ged2,stop_reason,status"
         assert len(sweep_lines) == 3
         assert [line.split(",")[0] for line in sweep_lines[1:]] == ["1", "2"]
         summary_lines = (out / "summary.csv").read_text().strip().splitlines()
+        assert summary_lines[0] == (
+            "rank,runs,nll_mean,nll_stderr,diversity_mean,diversity_stderr,"
+            "ged2_mean,ged2_stderr"
+        )
         assert len(summary_lines) == 3
 
     def test_non_finite_learning_rate_leaves_no_output(self, tmp_path, capsys):

@@ -195,13 +195,30 @@ class TestLabelMapFiles:
         assert np.array_equal(loaded.labels, labels.reshape(-1))
 
     @pytest.mark.parametrize(
-        "header", [b"P5\n3 x\n255\n", b"P5\n3", b"P5\n# c", b"P53 2\n255\n" + bytes(6)]
+        "header",
+        [
+            b"P5\n3 x\n255\n",
+            b"P5\n3",
+            b"P5\n# c",
+            b"P53 2\n255\n" + bytes(6),
+            b"P5 2#x 1 255 " + bytes(2),  # a comment starts only a token
+            b"P5 2 1 #c",  # a comment with no newline ends the file
+            b"P5 1234567890 1 255 " + bytes(2),  # ten digits
+            b"P5 0 1 255 ",  # zero width
+            b"P5 2 1 255\x00\xff",  # no whitespace after maxval
+        ],
     )
     def test_malformed_pgm_header_rejected(self, tmp_path, header):
         path = tmp_path / "map.pgm"
         path.write_bytes(header)
         with pytest.raises(ValidationError, match="map.pgm"):
             formats.label_map_from_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"P5 2 #c\n#d\n 1 255 ", b"P5 2 1 0255 "])
+    def test_pgm_header_comments_and_padded_maxval_accepted(self, tmp_path, header):
+        path = tmp_path / "map.pgm"
+        path.write_bytes(header + b"\x00\xff")
+        assert formats._read_pgm_bytes(path).tolist() == [[0, 255]]
 
     @settings(max_examples=300, deadline=None)
     @given(
