@@ -68,15 +68,12 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path, columns: list[str], rows: list[dict]) -> None:
-    """One line per row dict; floats in their shortest round-trip repr."""
+def _write_csv(path, rows: list[dict]) -> None:
+    """The first row's keys as the header, then one line per row."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns]
-            )
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _train_config(args, **fixed) -> TrainConfig:
@@ -117,7 +114,7 @@ def cmd_toy_train(args) -> int:
          "loss": loss}
         for i, loss in enumerate(report.loss_trace.tolist())
     ]
-    _write_csv(out / "loss.csv", ["iteration", "phase", "loss"], losses)
+    _write_csv(out / "loss.csv", losses)
     print(
         f"{args.mode} model trained: stop_reason={report.stop_reason} "
         f"final_nll_per_map={report.final_nll_per_map:.4f} -> {out}"
@@ -164,11 +161,8 @@ def cmd_rank_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seeds = list(range(1, args.seeds + 1))
     rows = rank_sweep(args.ranks, seeds, config, jobs=args.jobs)
-    columns = ["rank", "seed", "nll", "diversity", "ged2", "stop_reason", "status"]
-    _write_csv(out / "sweep.csv", columns, rows)
-    stats = [f"{key}_{stat}" for key in ("nll", "diversity", "ged2")
-             for stat in ("mean", "stderr")]
-    _write_csv(out / "summary.csv", ["rank", "runs", *stats], summarize_sweep(rows))
+    _write_csv(out / "sweep.csv", rows)
+    _write_csv(out / "summary.csv", summarize_sweep(rows))
     failures = sum(1 for row in rows if row["status"] != "ok")
     print(f"{len(rows)} runs ({failures} failed) -> {out}")
     return EXIT_OK

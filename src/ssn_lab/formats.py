@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -130,27 +131,20 @@ def label_map_from_pgm(path) -> tuple[LabelMap, list[int]]:
     return LabelMap(labels=labels, num_classes=1), list(image.shape)
 
 
+# Three decimal fields of at most nine digits, each after whitespace or
+# whole comment lines and before whitespace or the end of the file.
+_PGM_HEADER = re.compile(rb"P5\s" + rb"(?:\s|#[^\n]*\n)*(\d{1,9})(?!\S)" * 3)
+
+
 def _read_pgm_bytes(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if not (raw.startswith(b"P5") and raw[2:3].isspace()):
         raise ValidationError(f"not a binary PGM file: {path}")
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":  # comment line
-            newline = raw.find(b"\n", pos)
-            pos = len(raw) if newline < 0 else newline + 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if not all(f.isdigit() and len(f) < 10 and int(f) > 0 for f in fields):
+    header = _PGM_HEADER.match(raw)
+    if header is None or not all(int(f) > 0 for f in header.groups()):
         raise ValidationError(f"malformed PGM header in {path}")
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = (int(f) for f in fields)
+    pos = header.end() + 1  # single whitespace after maxval
+    width, height, maxval = (int(f) for f in header.groups())
     if maxval != 255:
         raise ValidationError(f"only 8-bit PGM supported, got maxval {maxval}")
     data = np.frombuffer(raw[pos : pos + width * height], dtype=np.uint8)
@@ -160,12 +154,14 @@ def _read_pgm_bytes(path) -> np.ndarray:
 
 
 def plot_image(image) -> np.ndarray:
-    """``image`` as the 2-d float64 array of finite values a PGM plot scales."""
+    """``image`` as the 2-d float64 array, finite in values and range, to plot."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValidationError(f"plot images must be 2-d, got {image.ndim}-d")
     if not np.isfinite(image).all():
         raise ValidationError("plot images must be finite, got an overflowed value")
+    if image.size and not math.isfinite(float(image.max()) - float(image.min())):
+        raise ValidationError("plot images must have a finite range, got an overflow")
     return image
 
 

@@ -197,11 +197,12 @@ def cross_entropy_loss(logits, labels: LabelMap) -> float:
     return -label_log_likelihood(logits, labels)
 
 
-def _check_agreement(dist: LowRankGaussian, labels: LabelMap) -> None:
-    if dist.num_pixels != labels.num_pixels or dist.num_classes != labels.num_classes:
+def _check_pair(a, b) -> None:
+    """Both objects must agree in pixels and classes."""
+    if (a.num_pixels, a.num_classes) != (b.num_pixels, b.num_classes):
         raise ShapeError(
-            f"distribution is over {dist.num_pixels} pixels x {dist.num_classes} "
-            f"classes, labels are {labels.num_pixels} x {labels.num_classes}"
+            f"{type(a).__name__} has {a.num_pixels} pixels x {a.num_classes} "
+            f"classes, {type(b).__name__} has {b.num_pixels} x {b.num_classes}"
         )
 
 
@@ -269,7 +270,7 @@ def ssn_mc_loss(
     """
     if num_samples < 1:
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
-    _check_agreement(dist, labels)
+    _check_pair(dist, labels)
     eps_factor, eps_diag = draw_noise(num_samples, dist.rank, dist.dim, rng_seed)
     value, loglik, weights, block = _mc_forward(
         dist.mean, dist.factor, dist.diag_raw, labels, eps_factor, eps_diag
@@ -309,7 +310,7 @@ def grad_ssn_mc_loss(
     ``dist`` and ``labels`` objects reuses that call's forward pass; any
     other call recomputes it, to the same bits.
     """
-    _check_agreement(dist, labels)
+    _check_pair(dist, labels)
     eps_factor, eps_diag = noise.eps_factor, noise.eps_diag
     n = eps_factor.shape[0]
     if n < 1 or eps_factor.shape != (n, dist.rank) or eps_diag.shape != (n, dist.dim):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .likelihood import LabelMap, _locked_labels
+from .likelihood import LabelMap, _check_pair, _locked_labels
 
 _EXACT_F32_COUNT = 1 << 24  # float32 counts every integer up to here exactly
 
@@ -119,18 +119,6 @@ class MetricReport:
     diversity: float
     cross_term: float
     gt_self_term: float
-
-
-def _check_pair(a, b) -> None:
-    """Label maps or sample sets must agree in pixels and classes."""
-    if a.num_pixels != b.num_pixels:
-        raise ShapeError(
-            f"label maps differ in size: {a.num_pixels} vs {b.num_pixels}"
-        )
-    if a.num_classes != b.num_classes:
-        raise ShapeError(
-            f"label maps differ in classes: {a.num_classes} vs {b.num_classes}"
-        )
 
 
 def pairwise_iou_distance(

@@ -7,15 +7,15 @@ with IEEE-754 doubles.
 
 Each variate uses exactly one 64-bit PCG64 output: the range 2**53 is a power
 of two, so numpy's bounded-integer method never rejects. A large draw can
-therefore be split, with the second half drawn on a second core from a copy
-of the stream advanced past the first half, and return the same bytes and
-leave the stream where a serial draw would.
+therefore be split, with the second half drawn on a one-thread pool from a
+copy of the stream advanced past the first half, and return the same bytes
+and leave the stream where a serial draw would.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtri
@@ -55,25 +55,13 @@ class PortableRng:
         tail = np.random.PCG64()
         tail.state = start
         tail.advance(half)
-        failures = []
-
-        def fill_tail():
-            try:
-                _fill_normal(np.random.Generator(tail), flat[half:])
-            except BaseException as err:
-                failures.append(err)
-
-        worker = threading.Thread(target=fill_tail)
-        worker.start()
-        try:
+        with ThreadPoolExecutor(1) as pool:
+            second = pool.submit(_fill_normal, np.random.Generator(tail), flat[half:])
             _fill_normal(self._bits, flat[:half])
-        finally:
-            worker.join()
-        if failures:
-            raise failures[0]
-        # advance() drops a buffered 32-bit output, which a serial draw keeps.
-        bit_gen.advance(flat.size - half)
-        bit_gen.state = {**bit_gen.state, "has_uint32": start["has_uint32"],
+            second.result()
+        # The tail ends where a serial draw would, but advance() dropped the
+        # buffered 32-bit output, which a serial draw keeps.
+        bit_gen.state = {**tail.state, "has_uint32": start["has_uint32"],
                          "uinteger": start["uinteger"]}
         return out
 

@@ -243,6 +243,23 @@ class TestToyEval:
         assert_one_error_line(capsys)
         assert not out.exists()
 
+    def test_covariance_with_overflowing_range_is_io_error(self, tmp_path, capsys):
+        """Every covariance entry is finite, but they span -1e308 to 1e308, so
+        the plot's range overflows: one error line, no numpy warning, and no
+        output directory."""
+        factor = np.zeros((21, 2))
+        factor[:, 0] = 1e154 * (-1.0) ** np.arange(21)
+        model = LowRankGaussian(np.zeros(21), factor, np.zeros(21), 21, 1, 2)
+        formats.save_distribution(tmp_path / "model.ssnt", model)
+        out = tmp_path / "eval"
+        code = main(
+            ["toy-eval", "--model", str(tmp_path / "model.ssnt"),
+             "--samples", "100", "--lik-samples", "100", "--out", str(out)]
+        )
+        assert code == 4
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_missing_model_is_io_error(self, tmp_path):
         code = main(
             ["toy-eval", "--model", str(tmp_path / "nope.ssnt"),

@@ -214,6 +214,19 @@ class TestLabelMapFiles:
         with pytest.raises(ValidationError, match="map.pgm"):
             formats.label_map_from_pgm(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P5 2 1 255\x00\xff\xff",  # a field ends at whitespace
+            b"P5 2 #c 1 255 \x00\xff",  # a comment ends at a newline
+        ],
+    )
+    def test_pgm_header_rejected_though_pixels_follow(self, tmp_path, header):
+        path = tmp_path / "map.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValidationError, match="malformed PGM header"):
+            formats.label_map_from_pgm(path)
+
     @pytest.mark.parametrize("header", [b"P5 2 #c\n#d\n 1 255 ", b"P5 2 1 0255 "])
     def test_pgm_header_comments_and_padded_maxval_accepted(self, tmp_path, header):
         path = tmp_path / "map.pgm"
@@ -313,6 +326,13 @@ class TestPgmPlots:
         image[1, 2] = value
         with pytest.raises(ValidationError, match="finite"):
             formats.write_pgm_plot(tmp_path / "plot.pgm", image)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_range_rejected(self, tmp_path):
+        """Finite values whose range exceeds the float range would scale to
+        nan with three numpy warnings; the plot is refused instead."""
+        with pytest.raises(ValidationError, match="finite range"):
+            formats.write_pgm_plot(tmp_path / "plot.pgm", [[-1e308, 1e308], [0, 1]])
         assert list(tmp_path.iterdir()) == []
 
     def test_expand_line_repeats_columns(self):

@@ -222,6 +222,12 @@ class TestMcLoss:
         with pytest.raises(ShapeError):
             ssn_mc_loss(dist, labels, 2, rng_seed=0)
 
+    def test_class_disagreement_rejected(self):
+        dist = random_instance(0)
+        labels = LabelMap(np.zeros(dist.num_pixels, dtype=int), num_classes=2)
+        with pytest.raises(ShapeError):
+            ssn_mc_loss(dist, labels, 2, rng_seed=0)
+
     def test_negative_seed_rejected(self):
         dist = random_instance(0)
         labels = random_labels(0, dist.num_pixels, dist.num_classes)

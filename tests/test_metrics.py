@@ -96,6 +96,10 @@ class TestIouDistance:
         with pytest.raises(ShapeError):
             iou_distance(binary_map([1, 0]), binary_map([1, 0, 0]))
 
+    def test_class_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            iou_distance(binary_map([1, 0]), LabelMap(np.array([1, 0]), num_classes=2))
+
 
 class TestGedSquared:
     def test_identical_single_maps(self):

@@ -125,6 +125,23 @@ def test_failure_in_second_half_is_raised(small_thresholds, monkeypatch):
         PortableRng(1).standard_normal(SMALL_SPLIT)
 
 
+def test_failure_in_first_half_is_raised(small_thresholds, monkeypatch):
+    """A failure on the calling thread reaches the caller, and the pool's
+    thread is gone when the draw returns."""
+    fill = rng_module._fill_normal
+
+    def failing_fill(bits, out):
+        if threading.current_thread() is threading.main_thread():
+            raise MemoryError("first half")
+        fill(bits, out)
+
+    monkeypatch.setattr(rng_module, "_fill_normal", failing_fill)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="first half"):
+        PortableRng(1).standard_normal(SMALL_SPLIT)
+    assert threading.active_count() == threads
+
+
 FORK_AFTER_SPLIT = """
 import threading
 from ssn_lab import PortableRng, rng
