@@ -170,16 +170,18 @@ def apply_deviation_scale(
         raise ShapeError(
             f"got {scale.per_class.size} class scales for {dist.num_classes} classes"
         )
-    per_element = np.tile(
-        scale.per_class * scale.global_temperature, dist.num_pixels
-    )
-    factor = dist.factor * per_element[:, None]
-    squared = per_element**2
-    diag_raw = np.where(
-        squared == 1.0,
-        dist.diag_raw,
-        effective_diag_inv(squared * dist.effective_diag),
-    )
+    # An entry that overflows fails the model's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_element = np.tile(
+            scale.per_class * scale.global_temperature, dist.num_pixels
+        )
+        factor = dist.factor * per_element[:, None]
+        squared = per_element**2
+        diag_raw = np.where(
+            squared == 1.0,
+            dist.diag_raw,
+            effective_diag_inv(squared * dist.effective_diag),
+        )
     return replace(dist, factor=factor, diag_raw=diag_raw)
 
 

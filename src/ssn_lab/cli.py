@@ -190,9 +190,12 @@ def cmd_manipulate(args) -> int:
     model = formats.load_distribution(args.model)
     try:
         payload = json.loads(args.scale)
+        per_class, temperature = payload["per_class"], payload.get("temperature", 1.0)
+        if any(type(v) not in (int, float) for v in [*per_class, temperature]):
+            raise TypeError("per_class and temperature must be JSON numbers")
         scale = DeviationScale(
-            per_class=np.asarray(payload["per_class"], dtype=np.float64),
-            global_temperature=float(payload.get("temperature", 1.0)),
+            per_class=np.array(per_class, dtype=np.float64),
+            global_temperature=float(temperature),
         )
         scaled = apply_deviation_scale(model, scale)
     # ShapeError and ValidationError are ValueErrors. OverflowError comes from

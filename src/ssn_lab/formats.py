@@ -154,13 +154,14 @@ def _read_pgm_bytes(path) -> np.ndarray:
 
 
 def plot_image(image) -> np.ndarray:
-    """``image`` as the 2-d float64 array, finite in values and range, to plot."""
+    """``image`` as the non-empty 2-d float64 array, finite in values and
+    range, to plot."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValidationError(f"plot images must be 2-d, got {image.ndim}-d")
+    if image.ndim != 2 or not image.size:
+        raise ValidationError(f"plot images must be non-empty 2-d, got {image.shape}")
     if not np.isfinite(image).all():
         raise ValidationError("plot images must be finite, got an overflowed value")
-    if image.size and not math.isfinite(float(image.max()) - float(image.min())):
+    if not math.isfinite(float(image.max()) - float(image.min())):
         raise ValidationError("plot images must have a finite range, got an overflow")
     return image
 

@@ -155,27 +155,35 @@ def _logsumexp(x: np.ndarray, overwrite: bool = False):
 
 def _label_terms(logit_rows: np.ndarray, labels: LabelMap):
     """Per-row label log-likelihood of a [n, num_pixels * num_classes]
-    batch and, for two or more classes, each pixel's softmax numerator
-    ``exp(eta - max)`` [n, num_pixels, num_classes] (None for one logit),
-    written over ``logit_rows`` in row blocks of about ``_BLOCK`` elements."""
+    batch, in row blocks of about ``_BLOCK`` elements, and, for two or more
+    classes, each pixel's softmax numerator ``exp(eta - max)``
+    [n, num_pixels, num_classes], written over ``logit_rows``. One logit
+    leaves ``logit_rows`` as it is, and returns None for the numerators."""
     n, dim = logit_rows.shape
     active = labels.active_mask()
     # A non-finite sample makes a nan or an inf - inf here; the forward
     # pass's finiteness check raises OverflowSignal for it, and numpy's
     # invalid-value warning would only come before it as noise.
+    loglik, step = np.empty(n), max(1, _BLOCK // max(1, dim))
     with np.errstate(invalid="ignore"):
         if labels.num_classes == 1:
-            # The F-ordered [n, active] copy sums each row pixel by pixel, in
-            # order; a C-contiguous one would sum pairwise, to other bits.
-            eta = logit_rows[:, active]
             # log sigmoid(eta) = -softplus(-eta); label 0 flips the sign of eta
-            sign = np.where(labels.labels[active] == 1, 1.0, -1.0)
-            loglik, numer = (-np.logaddexp(0.0, -sign * eta)).sum(axis=1), None
+            flip = np.where(labels.labels[active] == 1, -1.0, 1.0)
+            # The F-ordered [rows, active] copy sums each row pixel by pixel,
+            # in order; a one-row block is C-contiguous too and would sum
+            # pairwise, to other bits, so only a one-row batch has one.
+            edges = [*range(0, max(n - 1, 1), max(2, step)), n]
+            for start, stop in zip(edges, edges[1:]):
+                eta = logit_rows[start:stop][:, active]
+                eta *= flip
+                terms = np.logaddexp(0.0, eta, out=eta).sum(axis=1)
+                # Negating the sum is exact; + 0.0 turns its -0.0 into +0.0.
+                loglik[start:stop] = np.negative(terms, out=terms) + 0.0
+            numer = None
         else:
             numer = logit_rows.reshape(n, labels.num_pixels, labels.num_classes)
             picks = np.arange(labels.num_pixels) * labels.num_classes + labels.labels
-            keep, loglik = np.flatnonzero(active), np.empty(n)
-            step = max(1, _BLOCK // max(1, dim))
+            keep = np.flatnonzero(active)
             for start in range(0, n, step):
                 rows = slice(start, start + step)
                 terms = np.take(logit_rows[rows], picks, axis=1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 
 import numpy as np
 from scipy.special import ndtri
@@ -46,7 +47,7 @@ class PortableRng:
         """Inverse-CDF normals, ``ndtri(uniform_open(size))`` bit for bit."""
         out = np.empty(size)
         flat = out.reshape(-1)
-        half = _split_point(flat.size)
+        half = flat.size // 2 if flat.size >= _SPLIT_MIN and _second_cpu() else 0
         if not half:
             _fill_normal(self._bits, flat)
             return out
@@ -55,10 +56,10 @@ class PortableRng:
         tail = np.random.PCG64()
         tail.state = start
         tail.advance(half)
-        with ThreadPoolExecutor(1) as pool:
-            second = pool.submit(_fill_normal, np.random.Generator(tail), flat[half:])
-            _fill_normal(self._bits, flat[:half])
-            second.result()
+        _side_by_side(
+            lambda: _fill_normal(self._bits, flat[:half]),
+            lambda: _fill_normal(np.random.Generator(tail), flat[half:]),
+        )
         # The tail ends where a serial draw would, but advance() dropped the
         # buffered 32-bit output, which a serial draw keeps.
         bit_gen.state = {**tail.state, "has_uint32": start["has_uint32"],
@@ -73,12 +74,24 @@ class PortableRng:
         return int(self._bits.integers(0, 1 << 63, dtype=np.int64))
 
 
-def _split_point(size: int) -> int:
-    """Where a draw of ``size`` variates splits between two threads; 0 keeps
-    it on the calling thread."""
-    if size < _SPLIT_MIN or not hasattr(os, "sched_getaffinity"):
-        return 0
-    return size // 2 if len(os.sched_getaffinity(0)) > 1 else 0
+def _second_cpu() -> bool:
+    """More than one CPU in this process's affinity; the load is not read."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def _side_by_side(*passes) -> list:
+    """The results of the independent zero-argument ``passes``, in order. With
+    a second CPU, the first runs on the calling thread and the rest, in copies
+    of its context (numpy's error state), on a one-thread pool, shut down on
+    return. A failure raises what a serial run would and cancels the rest."""
+    if not _second_cpu():
+        return [run() for run in passes]
+    pool = ThreadPoolExecutor(1)
+    try:
+        queued = [pool.submit(copy_context().run, run) for run in passes[1:]]
+        return [passes[0](), *(future.result() for future in queued)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _fill_normal(bits: np.random.Generator, out: np.ndarray) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
@@ -30,7 +31,7 @@ from .likelihood import (
 )
 from .lowrank import LowRankGaussian, draw_noise, softplus_inv
 from .metrics import SampleSet, ged_squared
-from .rng import PortableRng, mix_seed
+from .rng import PortableRng, _side_by_side, mix_seed
 
 TOY_LENGTH = 21
 _THIRD = TOY_LENGTH // 3
@@ -187,7 +188,8 @@ def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainRep
         mean, factor, diag_raw = new_mean, new_factor, new_diag_raw
 
     checkpoint = LowRankGaussian(mean, factor, diag_raw, TOY_LENGTH, 1, config.rank)
-    final_nll = float(np.mean(_nll_by_map(checkpoint, _FINAL_NLL_SAMPLES, config.seed)))
+    passes = _nll_passes(checkpoint, _FINAL_NLL_SAMPLES, config.seed)
+    final_nll = float(np.mean(_side_by_side(*passes)))
     return TrainReport(
         loss_trace=np.asarray(trace),
         phase_boundary=phase_boundary,
@@ -197,14 +199,23 @@ def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainRep
     )
 
 
-def _nll_by_map(model: LowRankGaussian, num_samples: int, seed: int) -> tuple:
-    """Monte-Carlo negative log-likelihood of each of the two maps. Samples
-    that overflow raise OverflowSignal, so numpy's warnings are only noise."""
-    with np.errstate(over="ignore"):
-        return tuple(
-            ssn_mc_loss(model, label_map, num_samples, mix_seed(seed, 0xE7A1, k)).value
-            for k, label_map in enumerate(make_toy_dataset().maps)
-        )
+def _nll_passes(model: LowRankGaussian, num_samples: int, seed: int) -> list:
+    """One pass per toy map: its Monte-Carlo NLL, from its own stream."""
+    return [
+        partial(_nll, model, label_map, num_samples, mix_seed(seed, 0xE7A1, k))
+        for k, label_map in enumerate(make_toy_dataset().maps)
+    ]
+
+
+def _nll(model: LowRankGaussian, label_map: LabelMap, num_samples: int, seed: int):
+    with np.errstate(over="ignore"):  # overflowed samples raise OverflowSignal
+        return ssn_mc_loss(model, label_map, num_samples, seed).value
+
+
+def _thresholded_draw(model: LowRankGaussian, num_samples: int, seed: int):
+    with np.errstate(over="ignore"):  # an overflowed sample still thresholds
+        labels = labels_from_logits(model.sample(num_samples, seed)[0], 1)
+    return SampleSet(labels=labels, num_classes=1)  # the samples are freed
 
 
 @dataclass(frozen=True)
@@ -227,11 +238,13 @@ def evaluate_toy(
 ) -> ToyEvalReport:
     """Estimate the NLL per map, the histogram of thresholded samples over
     distinct maps, sample diversity, and the distance to the true two-map
-    distribution."""
+    distribution. The two likelihood passes and the draw are independent,
+    so they run side by side when a second CPU is usable."""
     data = make_toy_dataset()
-    nll_by_map = _nll_by_map(model, n_lik_samples, seed)
-    samples, _ = model.sample(n_samples, mix_seed(seed, 0x5A3B))
-    pred = SampleSet(labels=labels_from_logits(samples, 1), num_classes=1)
+    *nll_by_map, pred = _side_by_side(
+        *_nll_passes(model, n_lik_samples, seed),
+        partial(_thresholded_draw, model, n_samples, mix_seed(seed, 0x5A3B)),
+    )
     rows, weights = pred.distinct_rows()
     map1, map2 = (
         float(weights[np.all(rows == m.labels, axis=1)].sum()) for m in data.maps
@@ -239,7 +252,7 @@ def evaluate_toy(
     report = ged_squared(SampleSet(samples=data.maps), pred)
     return ToyEvalReport(
         nll_per_map=float(np.mean(nll_by_map)),
-        nll_by_map=nll_by_map,
+        nll_by_map=tuple(nll_by_map),
         histogram={"map1": map1, "map2": map2, "other": 1.0 - map1 - map2},
         num_distinct_maps=len(rows),
         diversity=report.diversity,

@@ -400,6 +400,40 @@ class TestSampleAndManipulate:
         assert code == 2
         assert_one_error_line(capsys)
 
+    def test_overflowing_scale_product_is_usage_error(
+        self, trained_dir, tmp_path, capsys
+    ):
+        """A class scale and a temperature, each finite, whose product
+        overflows: one error line, no numpy warning, and no model written."""
+        capsys.readouterr()
+        out = tmp_path / "x.ssnt"
+        code = main(
+            ["manipulate", "--model", str(trained_dir / "model.ssnt"),
+             "--scale", '{"per_class":[1e300],"temperature":1e300}',
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scale",
+        ['{"per_class":[true],"temperature":true}', '{"per_class":[true]}',
+         '{"per_class":[1.0],"temperature":false}'],
+        ids=["both", "per-class", "temperature"],
+    )
+    def test_boolean_scale_is_usage_error(self, trained_dir, tmp_path, capsys, scale):
+        """JSON true and false are not numbers, here as in the file loaders."""
+        capsys.readouterr()
+        out = tmp_path / "x.ssnt"
+        code = main(
+            ["manipulate", "--model", str(trained_dir / "model.ssnt"),
+             "--scale", scale, "--out", str(out)]
+        )
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_wrong_class_count_is_usage_error(self, trained_dir, tmp_path):
         code = main(
             ["manipulate", "--model", str(trained_dir / "model.ssnt"),

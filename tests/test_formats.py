@@ -324,6 +324,14 @@ class TestPgmPlots:
             formats.write_pgm_plot(tmp_path / "plot.pgm", [[-1e308, 1e308], [0, 1]])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_image_rejected(self, tmp_path, shape):
+        """An empty image has no range to scale by; it is refused, not left
+        to numpy's reduction error."""
+        with pytest.raises(ValidationError, match="non-empty 2-d"):
+            formats.write_pgm_plot(tmp_path / "plot.pgm", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
     def test_expand_line_repeats_columns(self):
         image = formats.expand_line(np.array([1.0, 2.0]), width=3)
         assert image.shape == (2, 3)

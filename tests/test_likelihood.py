@@ -519,6 +519,67 @@ class TestRowBlockLabelTerms:
         assert len(caught) == (0 if labels.active_mask().any() else 1)
 
 
+def batch_bernoulli_terms(logit_rows, labels):
+    """The single-logit label terms as one batch, each row summed over an
+    F-ordered copy of its active pixels. The reference for the row blocks."""
+    active = labels.active_mask()
+    eta = logit_rows[:, active]
+    sign = np.where(labels.labels[active] == 1, 1.0, -1.0)
+    with np.errstate(invalid="ignore"):
+        return (-np.logaddexp(0.0, -sign * eta)).sum(axis=1)
+
+
+@st.composite
+def bernoulli_term_cases(draw):
+    """Single-logit batches over a few row blocks, with infinities, nans and
+    logits far enough out that a term is exactly 0, masks (all-masked ones
+    too) and a block size that may cut a call into many row blocks."""
+    n, pixels = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    values = st.one_of(
+        st.sampled_from([-800.0, -1.0, 0.0, 2.0, 800.0, -np.inf, np.inf, np.nan]),
+        st.floats(-50.0, 50.0),
+    )
+    rows = draw(hnp.arrays(np.float64, (n, pixels), elements=values))
+    labels = draw(hnp.arrays(np.int64, pixels, elements=st.integers(0, 1)))
+    mask = draw(st.one_of(st.none(), hnp.arrays(bool, pixels)))
+    block = draw(st.sampled_from([1, 5, 64, 1 << 15]))
+    return rows, LabelMap(labels=labels, num_classes=1, mask=mask), block
+
+
+class TestRowBlockBernoulliTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(bernoulli_term_cases())
+    def test_row_blocks_match_the_batch_formula(self, case):
+        """The batch's bytes, nan signs and zero signs included, the caller's
+        rows left as they are, and one all-masked warning per call, however
+        many row blocks the call takes."""
+        from ssn_lab import likelihood
+
+        rows, labels, block = case
+        want = batch_bernoulli_terms(rows, labels)
+        buffer = rows.copy()
+        with mock.patch.object(likelihood, "_BLOCK", block), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loglik, numer = likelihood._label_terms(buffer, labels)
+        assert numer is None
+        assert same_bytes(loglik, want)
+        assert same_bytes(buffer, rows)
+        assert len(caught) == (0 if labels.active_mask().any() else 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 1561, 3 * 1560 + 1, 5000])
+    def test_default_blocks_match_the_batch_formula(self, n):
+        """At the default block size, 1560 toy rows of 21 pixels, a call of a
+        few blocks, one whose last block would hold a single row among them."""
+        from ssn_lab.likelihood import _label_terms
+
+        rows = 6.0 * PortableRng(n).standard_normal((n, 21))
+        rows[::97, 3], rows[::89, 5], rows[::83, 8] = np.inf, -np.inf, np.nan
+        labels = make_toy_dataset().maps[1]
+        assert same_bytes(_label_terms(rows.copy(), labels)[0],
+                          batch_bernoulli_terms(rows, labels))
+
+
 class TestOverflowContract:
     """A non-finite logit sample on a scored pixel makes its log-likelihood
     non-finite, and the forward pass raises ``OverflowSignal``: the toy

@@ -142,6 +142,17 @@ def test_failure_in_first_half_is_raised(small_thresholds, monkeypatch):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_side_by_side_passes_see_the_callers_error_state(monkeypatch, cpus):
+    """Serially every pass runs under the caller's numpy error state; on the
+    pool's thread, too. Here only the second pass underflows."""
+    monkeypatch.setattr(rng_module.os, "sched_getaffinity", lambda pid: cpus)
+    passes = (lambda: 1.0, lambda: np.float64(1e-300) * np.float64(1e-300))
+    assert rng_module._side_by_side(*passes) == [1.0, 0.0]
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        rng_module._side_by_side(*passes)
+
+
 FORK_AFTER_SPLIT = """
 import threading
 from ssn_lab import PortableRng, rng

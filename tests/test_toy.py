@@ -1,3 +1,6 @@
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -7,11 +10,17 @@ import ssn_lab.toy
 from ssn_lab import (
     LowRankGaussian,
     OverflowSignal,
+    SampleSet,
+    ToyEvalReport,
     TrainConfig,
     ValidationError,
     evaluate_toy,
+    ged_squared,
+    labels_from_logits,
     make_toy_dataset,
+    mix_seed,
     rank_sweep,
+    ssn_mc_loss,
     summarize_sweep,
     train_toy,
 )
@@ -216,6 +225,130 @@ class TestEvaluation:
         assert evaluation.diversity == 0.0
         assert evaluation.histogram["map1"] == 1.0
         assert evaluation.num_distinct_maps == 1
+
+
+def serial_evaluation(model, n_samples, n_lik_samples, seed):
+    """``evaluate_toy``'s three passes one after another through the public
+    functions: the NLL of map 1, that of map 2, then the thresholded draw."""
+    data = make_toy_dataset()
+    with np.errstate(over="ignore"):
+        nll_by_map = tuple(
+            ssn_mc_loss(model, m, n_lik_samples, mix_seed(seed, 0xE7A1, k)).value
+            for k, m in enumerate(data.maps)
+        )
+    samples, _ = model.sample(n_samples, mix_seed(seed, 0x5A3B))
+    pred = SampleSet(labels=labels_from_logits(samples, 1), num_classes=1)
+    rows, weights = pred.distinct_rows()
+    map1, map2 = (
+        float(weights[np.all(rows == m.labels, axis=1)].sum()) for m in data.maps
+    )
+    report = ged_squared(SampleSet(samples=data.maps), pred)
+    return ToyEvalReport(
+        nll_per_map=float(np.mean(nll_by_map)),
+        nll_by_map=nll_by_map,
+        histogram={"map1": map1, "map2": map2, "other": 1.0 - map1 - map2},
+        num_distinct_maps=len(rows),
+        diversity=report.diversity,
+        ged_squared=report.ged_squared,
+    )
+
+
+def spread_model():
+    """A rank-2 toy model whose samples spread over many distinct maps."""
+    rng = np.random.default_rng(4)
+    mean = np.concatenate([np.full(7, 2.0), np.zeros(7), np.full(7, -2.0)])
+    factor = 0.3 * rng.standard_normal((21, 2))
+    factor[7:14, 0] += 2.5
+    return LowRankGaussian(mean + 0.5 * rng.standard_normal(21), factor,
+                           np.full(21, -1.0), 21, 1, 2)
+
+
+# None keeps the process's own affinity.
+AFFINITIES = {"host": None, "one-cpu": {0}, "two-cpus": {0, 1}}
+
+
+@pytest.fixture(params=sorted(AFFINITIES))
+def affinity(request, monkeypatch):
+    cpus = AFFINITIES[request.param]
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    return request.param
+
+
+class TestEvaluationPasses:
+    """The two likelihood passes and the draw run side by side with a second
+    CPU, and the report must be the serial one's to the bit."""
+
+    @pytest.mark.parametrize("n_samples, n_lik_samples, seed",
+                             [(3000, 3000, 11), (10_000, 10_000, 5), (1, 1, 0)])
+    def test_report_equals_serial_passes(self, affinity, n_samples, n_lik_samples,
+                                         seed):
+        model = spread_model()
+        want = serial_evaluation(model, n_samples, n_lik_samples, seed)
+        threads = threading.active_count()
+        got = evaluate_toy(model, n_samples=n_samples, n_lik_samples=n_lik_samples,
+                           seed=seed)
+        assert threading.active_count() == threads
+        assert repr(got) == repr(want) and got == want
+
+    @pytest.mark.parametrize(
+        "failing, raised",
+        [({"map 1", "map 2", "draw"}, "map 1"), ({"map 2", "draw"}, "map 2"),
+         ({"draw"}, "draw")],
+    )
+    def test_first_failure_in_serial_order_surfaces(self, affinity, monkeypatch,
+                                                    failing, raised):
+        """The exception raised is the one the serial order meets first. When
+        map 1 fails, the draw, still queued behind a slow map 2, never
+        starts; the pool is gone whatever fails."""
+        names = {mix_seed(3, 0xE7A1, k): f"map {k + 1}" for k in range(2)}
+        started, loss = [], ssn_lab.toy.ssn_mc_loss
+
+        def failing_loss(model, label_map, num_samples, seed):
+            started.append(names[seed])
+            if names[seed] == "map 2":
+                time.sleep(0.2)  # keeps the draw queued behind map 2
+            if names[seed] in failing:
+                raise OverflowSignal(names[seed])
+            return loss(model, label_map, num_samples, seed)
+
+        def failing_draw(*args):
+            started.append("draw")
+            raise OverflowSignal("draw")
+
+        monkeypatch.setattr(ssn_lab.toy, "ssn_mc_loss", failing_loss)
+        monkeypatch.setattr(ssn_lab.toy, "_thresholded_draw", failing_draw)
+        threads = threading.active_count()
+        with pytest.raises(OverflowSignal, match=raised):
+            evaluate_toy(spread_model(), n_samples=10, n_lik_samples=10, seed=3)
+        assert threading.active_count() == threads
+        assert raised != "map 1" or "draw" not in started
+
+    @pytest.mark.parametrize("delay", [0.0, 0.2], ids=["prompt", "late"])
+    def test_overflowing_model_raises_quietly(self, affinity, capfd, monkeypatch,
+                                              delay):
+        """Every pass overflows: the caller gets OverflowSignal, and no thread
+        gives a numpy warning or prints anything, also when map 1 fails late
+        enough for the draw to have started."""
+        first_map, loss = mix_seed(2, 0xE7A1, 0), ssn_lab.toy.ssn_mc_loss
+
+        def delayed_loss(model, label_map, num_samples, seed):
+            if seed == first_map:
+                time.sleep(delay)
+            return loss(model, label_map, num_samples, seed)
+
+        monkeypatch.setattr(ssn_lab.toy, "ssn_mc_loss", delayed_loss)
+        model = LowRankGaussian(
+            np.zeros(21), np.full((21, 1), 1e308), np.zeros(21), 21, 1, 1
+        )
+        threads = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowSignal):
+                evaluate_toy(model, n_samples=500, n_lik_samples=500, seed=2)
+        assert threading.active_count() == threads
+        assert [str(w.message) for w in caught] == []
+        assert capfd.readouterr().err == ""
 
 
 class TestRankSweep:
