@@ -112,7 +112,8 @@ def run_side(root: Path, work: Path, prefix: list[str], blas: str) -> dict[str, 
             raise SystemExit(f"{name} failed in {root}:\n{done.stderr.decode()}")
         digests[f"{name}:stdout"] = sha256(done.stdout.replace(bytes(work), b"<work>"))
         if done.stderr:
-            digests[f"{name}:stderr"] = sha256(done.stderr.replace(bytes(work), b"<work>"))
+            masked = done.stderr.replace(bytes(work), b"<work>")
+            digests[f"{name}:stderr"] = sha256(masked)
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         digests[str(path.relative_to(work))] = sha256(path.read_bytes())
     return digests
