@@ -51,17 +51,19 @@ def _positive_int(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {err}")
-    if not values or any(v < 1 for v in values):
+    values = [_positive_int(part) for part in text.split(",") if part]
+    if not values:
         raise argparse.ArgumentTypeError("expected positive integers")
     return values
 
 
 class UsageError(Exception):
     """A flag value the command cannot use (exit 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would print usage and exit itself
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _write_json(path, payload) -> None:
@@ -130,7 +132,7 @@ def cmd_toy_eval(args) -> int:
     evaluation = evaluate_toy(
         model, n_samples=args.samples, n_lik_samples=args.lik_samples, seed=args.seed
     )
-    with np.errstate(over="ignore"):  # an overflowed entry fails plot_image
+    with np.errstate(over="ignore", invalid="ignore"):  # plot_image rejects inf, nan
         covariance = model.dense_covariance()
     plot_samples, _ = model.sample(_SAMPLE_PLOT_COLUMNS, mix_seed(args.seed, 0xF1C))
     columns = [
@@ -157,10 +159,10 @@ def cmd_toy_eval(args) -> int:
 
 def cmd_rank_sweep(args) -> int:
     config = _train_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seeds = list(range(1, args.seeds + 1))
     rows = rank_sweep(args.ranks, seeds, config, jobs=args.jobs)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", rows)
     _write_csv(out / "summary.csv", summarize_sweep(rows))
     failures = sum(1 for row in rows if row["status"] != "ok")
@@ -174,10 +176,10 @@ def cmd_sample(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     model = formats.load_distribution(args.model)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     samples, _ = model.sample(args.n, args.seed)
     rows = labels_from_logits(samples, model.num_classes, args.threshold)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     width = len(str(args.n - 1))
     for index, labels in enumerate(rows):
         label_map = LabelMap(labels=labels, num_classes=model.num_classes)
@@ -264,7 +266,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ssn-lab",
         description=(
             "Low-rank Gaussian logit distributions: toy experiment, sampling, "
@@ -371,17 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, MemoryError) as err:  # MemoryError: a size flag too large
         failure, code = err, EXIT_USAGE
     except DivergenceError as err:
         failure, code = err, EXIT_DIVERGENCE
     except (OSError, ShapeError, ValidationError, OverflowSignal) as err:
         # Files that cannot be read or written, or a model whose samples overflow.
         failure, code = err, EXIT_IO
-    print(f"error: {failure}", file=sys.stderr)
+    print("error:", " ".join(str(failure).splitlines()), file=sys.stderr)
     return code
 
 

@@ -31,10 +31,9 @@ from .lowrank import (
 from .rng import PortableRng, mix_seed
 
 
-def _locked_labels(labels, num_classes: int) -> np.ndarray:
-    """Read-only int64 copy of ``labels``, checked to lie in
-    ``[0, max(num_classes, 2))`` for a class count of at least 1."""
-    labels = np.array(labels, dtype=np.int64, copy=True)
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Raise unless ``labels`` lie in ``[0, max(num_classes, 2))`` for a class
+    count of at least 1."""
     if num_classes is None or num_classes < 1:
         raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
     limit = max(num_classes, 2)
@@ -43,8 +42,6 @@ def _locked_labels(labels, num_classes: int) -> np.ndarray:
             f"labels must lie in [0, {limit}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    labels.setflags(write=False)
-    return labels
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,10 @@ class LabelMap:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = _locked_labels(self.labels, self.num_classes).reshape(-1)
+        labels = np.array(self.labels, dtype=np.int64, copy=True)
+        _check_labels(labels, self.num_classes)
+        labels.setflags(write=False)
+        labels = labels.reshape(-1)
         object.__setattr__(self, "labels", labels)
         if self.mask is not None:
             mask = np.array(self.mask, dtype=bool, copy=True).reshape(-1)

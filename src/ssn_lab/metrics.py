@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .likelihood import LabelMap, _check_pair, _locked_labels
+from .likelihood import LabelMap, _check_labels, _check_pair
 
 _EXACT_F32_COUNT = 1 << 24  # float32 counts every integer up to here exactly
 
@@ -44,12 +44,15 @@ class SampleSet:
                 raise ValidationError("a sample set must contain at least one map")
             if len({(s.num_pixels, s.num_classes) for s in samples}) > 1:
                 raise ShapeError("sample sets must have uniform shape and classes")
-            labels = [sample.labels for sample in samples]
+            labels = [sample.labels for sample in samples]  # each range-checked
             num_classes = samples[0].num_classes
-        labels = _locked_labels(labels, num_classes)
+        else:
+            labels = np.asarray(labels, dtype=np.int64)
+            _check_labels(labels, num_classes)
+        labels = np.array(labels, dtype=np.min_scalar_type(max(num_classes, 2) - 1))
         if labels.ndim != 2 or len(labels) == 0:
             raise ShapeError(f"labels must be [n >= 1, pixels], not {labels.shape}")
-        self._labels = labels.astype(np.min_scalar_type(max(num_classes, 2) - 1))
+        self._labels = labels
         self._samples = samples
         self._distinct = None
         self.num_classes = int(num_classes)

@@ -1,12 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ssn_lab
 from ssn_lab import DivergenceError, LabelMap, LowRankGaussian, PortableRng, formats
@@ -15,6 +21,11 @@ from ssn_lab.cli import main
 REFERENCE_TRACE = (
     Path(__file__).resolve().parents[1] / "bench" / "reference" / "toy_loss_seed1.csv"
 )
+
+# 10**16 rows or columns need 1.7-1.8 EB, more than any 64-bit machine maps
+# (at most 2**57 bytes) but under numpy's own size limit, so the allocation
+# fails with MemoryError before a byte is touched.
+UNALLOCATABLE = str(10**16)
 
 QUICK_TRAIN = [
     "--pretrain-iters", "500",
@@ -93,10 +104,9 @@ class TestToyTrain:
             tmp_path / "b" / "model.ssnt"
         ).read_bytes()
 
-    def test_rank_zero_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["toy-train", "--rank", "0", "--out", str(tmp_path)])
-        assert excinfo.value.code == 2
+    def test_rank_zero_is_usage_error(self, tmp_path, capsys):
+        assert main(["toy-train", "--rank", "0", "--out", str(tmp_path)]) == 2
+        assert_one_error_line(capsys)
 
     def test_bad_learning_rate_is_usage_error(self, tmp_path):
         code = main(
@@ -238,6 +248,22 @@ class TestToyEval:
         code = main(
             ["toy-eval", "--model", str(tmp_path / "model.ssnt"),
              "--samples", "100", "--lik-samples", "100", "--out", str(out)]
+        )
+        assert code == 4
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_covariance_with_cancelling_overflow_is_io_error(self, tmp_path, capsys):
+        """Covariance entries where an overflow to +inf meets one to -inf are
+        nan: one error line and no 'invalid value' warning."""
+        factor = np.full((21, 2), 1e200)
+        factor[:, 1] *= (-1.0) ** np.arange(21)
+        model = LowRankGaussian(np.zeros(21), factor, np.zeros(21), 21, 1, 2)
+        formats.save_distribution(tmp_path / "model.ssnt", model)
+        out = tmp_path / "eval"
+        code = main(
+            ["toy-eval", "--model", str(tmp_path / "model.ssnt"),
+             "--samples", "1", "--lik-samples", "1", "--out", str(out)]
         )
         assert code == 4
         assert_one_error_line(capsys)
@@ -562,10 +588,9 @@ class TestRankSweepCommand:
         assert_one_error_line(capsys)
         assert not out.exists()
 
-    def test_bad_ranks_flag_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["rank-sweep", "--ranks", "1,0", "--out", str(tmp_path)])
-        assert excinfo.value.code == 2
+    def test_bad_ranks_flag_is_usage_error(self, tmp_path, capsys):
+        assert main(["rank-sweep", "--ranks", "1,0", "--out", str(tmp_path)]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestGradcheckCommand:
@@ -589,3 +614,305 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "toy-train" in result.stdout
+
+
+class TestOneUsageErrorPath:
+    """Every usage error, argparse's own included, leaves through main:
+    exit 2 and one error line, never argparse's usage block. A failed run
+    leaves no --out behind."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["toy-train", "--rank", "0"], "--rank"),
+            (["sample", "--n", "x"], "--n"),
+            (["rank-sweep", "--ranks", "1,x"], "--ranks"),
+            (["toy-train", "--mode", "full"], "--mode"),
+            (["bogus"], "bogus"),
+            (["toy-train", "--frob", "1"], "--frob"),
+            (["sample"], "--model"),
+            (["gradcheck", "--trials"], "--trials"),
+            (["gradcheck", "two\nlines"], "two lines"),
+            ([], "command"),
+        ],
+        ids=["bad-int", "bad-int-word", "bad-list", "bad-choice", "unknown-command",
+             "unknown-flag", "missing-flag", "missing-value", "newline", "no-command"],
+    )
+    def test_argparse_error_is_one_line_and_exit_2(self, capsys, argv, named):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ssn-lab")
+        assert named in lines[0]
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["sample", "--help"]], ids=["top", "subcommand"]
+    )
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ssn-lab")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["toy-train", "--rank", UNALLOCATABLE, "--pretrain-iters", "5",
+             "--iters", "5", "--mc-samples", "5"],
+            ["sample", "--n", UNALLOCATABLE],
+            ["toy-eval", "--samples", UNALLOCATABLE, "--lik-samples", "50"],
+        ],
+        ids=["toy-train", "sample", "toy-eval"],
+    )
+    def test_unallocatable_size_is_usage_error(
+        self, trained_dir, tmp_path, capsys, argv
+    ):
+        """A size whose first array needs over an exbibyte, beyond any
+        machine's address space, fails to allocate at once: exit 2, one error
+        line and no output directory."""
+        if argv[0] != "toy-train":
+            argv = [*argv, "--model", str(trained_dir / "model.ssnt")]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_failed_sweep_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        import ssn_lab.cli as cli_module
+
+        def fail(*args, **kwargs):
+            raise OSError("cannot start workers")
+
+        monkeypatch.setattr(cli_module, "rank_sweep", fail)
+        out = tmp_path / "sweep"
+        assert main(["rank-sweep", "--out", str(out)]) == 4
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+
+# The CLI fuzz: generated argv for every subcommand, over generated or
+# byte-mutated model, label-map and PGM files. Paths are ("tmp", name) pairs,
+# resolved inside each example's own temporary directory, which is also the
+# working directory (a default --out lands there) and holds an existing file
+# and an existing directory to write over or into.
+
+# Text for one argument: any character but NUL, which no process argument
+# can hold, and (hypothesis's default) lone surrogates.
+ARG_TEXT = st.text(st.characters(exclude_characters="\x00"), max_size=6)
+
+
+def _small(text):
+    """No comma-separated part of ``text`` reads as an integer above 2, so a
+    junk value cannot ask for a long run."""
+    for part in text.split(","):
+        try:
+            if int(part) > 2:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+JUNK = st.one_of(
+    st.sampled_from(["0", "-1", "1.5", "x", "", "nan", "-inf", "1e300", "a\nb"]),
+    ARG_TEXT.filter(_small),
+)
+
+
+def _mostly(valid):
+    """``valid`` nine times in ten, else a junk value."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else JUNK)
+
+
+def _ints(high):
+    return _mostly(st.integers(1, high).map(str))
+
+
+RATES = _mostly(st.one_of(st.sampled_from(["0.05", "0.5"]), st.floats(0, 2).map(repr)))
+THRESHOLDS = _mostly(st.floats(allow_nan=False, allow_infinity=False).map(repr))
+SEEDS = _mostly(st.one_of(st.integers(0, 99), st.integers(-(2**70), 2**70)).map(str))
+OUT_DIRS = st.sampled_from(
+    [("tmp", "out")] * 4
+    + [("tmp", "new/deeper/out"), ("tmp", "file"), ("tmp", "file/out"), ("tmp", "dir")]
+)
+OUT_FILES = st.sampled_from(
+    [("tmp", "out.json")] * 4
+    + [("tmp", "missing/out.json"), ("tmp", "file"), ("tmp", "dir")]
+)
+MODELS = st.sampled_from(
+    [("tmp", "model.ssnt")] * 6
+    + [("tmp", "gt/m0.json"), ("tmp", "missing.ssnt"), ("tmp", "dir")]
+)
+SAMPLE_DIRS = st.sampled_from(
+    [("tmp", "gt"), ("tmp", "pred")] * 3
+    + [("tmp", "dir"), ("tmp", "missing"), ("tmp", "file")]
+)
+NUMBERS = st.integers(0, 3).flatmap(
+    lambda i: st.floats(-4, 4) if i
+    else st.one_of(st.floats(), st.integers(), st.booleans())
+)
+SCALES = _mostly(
+    st.fixed_dictionaries(
+        {"per_class": st.lists(NUMBERS, min_size=1, max_size=3)},
+        optional={"temperature": NUMBERS},
+    ).map(json.dumps)
+)
+TRAIN_FLAGS = {
+    "--mc-samples": _ints(5),
+    "--iters": _ints(5),
+    "--pretrain-iters": _ints(5),
+    "--lr": RATES,
+    "--pretrain-lr": RATES,
+}
+# Per subcommand: flags always given, because their defaults ask for long
+# runs, then flags each given nine times in ten.
+COMMANDS = {
+    "toy-train": (
+        TRAIN_FLAGS,
+        {"--mode": _mostly(st.sampled_from(["diagonal", "lowrank"])),
+         "--rank": _ints(3), "--seed": SEEDS, "--out": OUT_DIRS},
+    ),
+    "toy-eval": (
+        {"--samples": _ints(50), "--lik-samples": _ints(50)},
+        {"--model": MODELS, "--seed": SEEDS, "--out": OUT_DIRS},
+    ),
+    "rank-sweep": (
+        {"--ranks": _mostly(st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+            lambda ranks: ",".join(map(str, ranks)))),
+         "--seeds": _ints(2), **TRAIN_FLAGS},
+        # --jobs 2 forks two workers, in about one sweep in ten
+        {"--jobs": _mostly(st.sampled_from(["1"] * 9 + ["2"])), "--out": OUT_DIRS},
+    ),
+    "sample": (
+        {},
+        {"--model": MODELS, "--n": _ints(5), "--seed": SEEDS,
+         "--threshold": THRESHOLDS, "--out": OUT_DIRS},
+    ),
+    "manipulate": (
+        {},
+        {"--model": MODELS, "--scale": SCALES, "--out": OUT_FILES},
+    ),
+    "metrics": (
+        {},
+        {"--gt": SAMPLE_DIRS, "--pred": SAMPLE_DIRS, "--out": OUT_FILES},
+    ),
+    "gradcheck": ({"--trials": _ints(2)}, {"--seed": SEEDS}),
+}
+
+# Bytes overwritten at (position, value).
+MUTATIONS = st.lists(
+    st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), min_size=1, max_size=3
+)
+
+
+@st.composite
+def model_files(draw):
+    """SSNT bytes of a 21-pixel toy model or a small multi-class one, with
+    ordinary or overflowing parameters."""
+    pixels, classes = draw(st.sampled_from([(21, 1), (21, 1), (4, 3), (3, 2)]))
+    rank = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([0.0, 0.5, 0.5, 2.0, 2.0, 1e154, 1e200]))
+    rng = PortableRng(draw(st.integers(0, 2**32)))
+    dim = pixels * classes
+    model = LowRankGaussian(
+        rng.standard_normal(dim), scale * rng.standard_normal((dim, rank)),
+        rng.standard_normal(dim), pixels, classes, rank,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        formats.save_distribution(Path(tmp) / "model.ssnt", model)
+        return (Path(tmp) / "model.ssnt").read_bytes()
+
+
+@st.composite
+def label_files(draw, pixels, classes):
+    """A JSON label map, or for one class sometimes a binary PGM."""
+    labels = draw(st.lists(
+        st.integers(0, max(classes, 2) - 1), min_size=pixels, max_size=pixels))
+    if classes == 1 and draw(st.booleans()):
+        return "pgm", b"P5\n%d 1\n255\n" % pixels + bytes(255 * v for v in labels)
+    document = {"shape": [pixels], "num_classes": classes, "labels": labels}
+    return "json", json.dumps(document).encode()
+
+
+@st.composite
+def cli_cases(draw):
+    """An argv with ("tmp", name) paths, and the files it may read by name,
+    at most one of them with a few bytes overwritten."""
+    command = draw(st.sampled_from([*COMMANDS] * 3 + [None, "junk"]))
+    argv = []
+    if command == "junk":
+        argv.append(draw(ARG_TEXT))
+    elif command is not None:
+        argv.append(command)
+        always, optional = COMMANDS[command]
+        flags = [(flag, draw(values)) for flag, values in always.items()]
+        flags += [
+            (flag, draw(values)) for flag, values in optional.items()
+            if draw(st.integers(0, 9))
+        ]
+        for flag, value in draw(st.permutations(flags)):
+            if isinstance(value, str) and draw(st.booleans()):
+                argv.append(f"{flag}={value}")
+            else:
+                argv += [flag, value]
+    if not draw(st.integers(0, 9)):  # a stray token
+        argv.insert(draw(st.integers(0, len(argv))), draw(ARG_TEXT))
+    files = {"model.ssnt": draw(model_files())}
+    pixels, classes = draw(st.sampled_from([(21, 1), (4, 3), (3, 1)]))
+    for directory in ("gt", "pred"):
+        for index in range(draw(st.integers(1, 3))):
+            suffix, data = draw(label_files(pixels, classes))
+            files[f"{directory}/m{index}.{suffix}"] = data
+    corrupt = draw(st.sampled_from([None, None, *files]))
+    if corrupt is not None:
+        raw = bytearray(files[corrupt])
+        for position, value in draw(MUTATIONS):
+            raw[position % len(raw)] = value
+        files[corrupt] = bytes(raw)
+    return argv, files
+
+
+def _tree(root):
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cli_cases())
+def test_cli_fuzz_exits_through_main(case):
+    """Whatever the argv and files, the CLI exits 0, 2, 3, 4 or 5; a failure
+    prints one error line and no warning, and leaves nothing behind."""
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for directory in ("dir", "gt", "pred"):
+            (root / directory).mkdir()
+        (root / "file").write_text("not a directory\n")
+        for name, data in files.items():
+            (root / name).write_bytes(data)
+        argv = [
+            str(root / item[1]) if isinstance(item, tuple) else item for item in argv
+        ]
+        before = _tree(root)
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)  # a default --out is written in the example's directory
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+        except SystemExit as exit_:  # --help or an abbreviation of it
+            assert exit_.code == 0 and out.getvalue().startswith("usage:")
+            code = 0
+        finally:
+            os.chdir(cwd)
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 2, 3, 4, 5)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "usage:" not in lines[0]
+            assert _tree(root) == before
