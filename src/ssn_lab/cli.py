@@ -44,7 +44,12 @@ _PLOT_COLUMN_WIDTH = 12
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function, not the text
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -97,6 +102,7 @@ def _train_config(args, **fixed) -> TrainConfig:
 def cmd_toy_train(args) -> int:
     config = _train_config(args, rank=args.rank, seed=args.seed)
     report = train_toy(config, covariance_mode=args.mode)
+    nll = evaluate_toy(report.checkpoint, seed=config.seed).nll_per_map
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     formats.save_distribution(out / "model.ssnt", report.checkpoint)
@@ -108,7 +114,7 @@ def cmd_toy_train(args) -> int:
             "stop_reason": report.stop_reason,
             "phase_boundary": report.phase_boundary,
             "iterations_run": int(report.loss_trace.size - report.phase_boundary),
-            "final_nll_per_map": report.final_nll_per_map,
+            "final_nll_per_map": nll,
         },
     )
     losses = [
@@ -119,7 +125,7 @@ def cmd_toy_train(args) -> int:
     _write_csv(out / "loss.csv", losses)
     print(
         f"{args.mode} model trained: stop_reason={report.stop_reason} "
-        f"final_nll_per_map={report.final_nll_per_map:.4f} -> {out}"
+        f"final_nll_per_map={nll:.4f} -> {out}"
     )
     return EXIT_OK
 
@@ -135,13 +141,10 @@ def cmd_toy_eval(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # plot_image rejects inf, nan
         covariance = model.dense_covariance()
     plot_samples, _ = model.sample(_SAMPLE_PLOT_COLUMNS, mix_seed(args.seed, 0xF1C))
-    columns = [
-        formats.expand_line(row, _PLOT_COLUMN_WIDTH) for row in plot_samples
-    ]
     plots = {
-        "mean.pgm": formats.expand_line(model.mean, _PLOT_COLUMN_WIDTH),
+        "mean.pgm": np.repeat(model.mean[:, None], _PLOT_COLUMN_WIDTH, axis=1),
         "covariance.pgm": covariance,
-        "samples.pgm": np.hstack(columns),
+        "samples.pgm": np.repeat(plot_samples.T, _PLOT_COLUMN_WIDTH, axis=1),
     }
     plots = {name: formats.plot_image(image) for name, image in plots.items()}
     out = Path(args.out)

@@ -185,8 +185,3 @@ def write_pgm_plot(path, image: np.ndarray) -> None:
         + "\n"
     )
 
-
-def expand_line(values: np.ndarray, width: int = 12) -> np.ndarray:
-    """Repeat a 1-d signal horizontally into a [len, width] image column."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    return np.repeat(values[:, None], width, axis=1)

@@ -85,7 +85,6 @@ class NoiseDraw:
 
     eps_factor: np.ndarray  # [n, rank]
     eps_diag: np.ndarray  # [n, dim]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ class LowRankGaussian:
         samples = reconstruct_samples(
             self.mean, self.factor, self.diag_raw, eps_factor, eps_diag
         )
-        return samples, NoiseDraw(eps_factor, eps_diag, int(seed))
+        return samples, NoiseDraw(eps_factor, eps_diag)
 
     def log_prob(self, logits) -> float:
         """Exact Gaussian log-density in O(dim * rank^2) time.

@@ -7,9 +7,9 @@ with IEEE-754 doubles.
 
 Each variate uses exactly one 64-bit PCG64 output: the range 2**53 is a power
 of two, so numpy's bounded-integer method never rejects. A large draw can
-therefore be split, with the second half drawn on a one-thread pool from a
-copy of the stream advanced past the first half, and return the same bytes
-and leave the stream where a serial draw would.
+therefore be split, with the second half drawn from a copy of the stream
+advanced past the first (on a one-thread pool, given a second CPU), and
+return the same bytes and leave the stream where a serial draw would.
 """
 
 from __future__ import annotations
@@ -45,9 +45,14 @@ class PortableRng:
 
     def standard_normal(self, size) -> np.ndarray:
         """Inverse-CDF normals, ``ndtri(uniform_open(size))`` bit for bit."""
-        out = np.empty(size)
+        try:
+            out = np.empty(size)
+        except ValueError as err:  # past numpy's size limit, unless negative
+            if np.any(np.asarray(size) < 0):
+                raise
+            raise MemoryError(f"cannot draw {size} normals: {err}") from err
         flat = out.reshape(-1)
-        half = flat.size // 2 if flat.size >= _SPLIT_MIN and _second_cpu() else 0
+        half = flat.size // 2 if flat.size >= _SPLIT_MIN else 0
         if not half:
             _fill_normal(self._bits, flat)
             return out
@@ -74,17 +79,13 @@ class PortableRng:
         return int(self._bits.integers(0, 1 << 63, dtype=np.int64))
 
 
-def _second_cpu() -> bool:
-    """More than one CPU in this process's affinity; the load is not read."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-
-
 def _side_by_side(*passes) -> list:
     """The results of the independent zero-argument ``passes``, in order. With
-    a second CPU, the first runs on the calling thread and the rest, in copies
-    of its context (numpy's error state), on a one-thread pool, shut down on
-    return. A failure raises what a serial run would and cancels the rest."""
-    if not _second_cpu():
+    a second CPU in this process's affinity (the load is not read), the first
+    runs on the calling thread and the rest, in copies of its context
+    (numpy's error state), on a one-thread pool, shut down on return. A
+    failure raises what a serial run would and cancels the rest."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return [run() for run in passes]
     pool = ThreadPoolExecutor(1)
     try:

@@ -42,7 +42,6 @@ _THIRD = TOY_LENGTH // 3
 # only blurs thresholded samples.
 _FACTOR_INIT_SCALE = 0.01
 _DIAG_RAW_INIT = float(softplus_inv(1e-5))
-_FINAL_NLL_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ class TrainReport:
     phase_boundary: int
     stop_reason: str  # "completed" or "overflow_early_stop"
     checkpoint: LowRankGaussian
-    final_nll_per_map: float
 
 
 def _pretrain_mean(
@@ -187,24 +185,12 @@ def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainRep
             break
         mean, factor, diag_raw = new_mean, new_factor, new_diag_raw
 
-    checkpoint = LowRankGaussian(mean, factor, diag_raw, TOY_LENGTH, 1, config.rank)
-    passes = _nll_passes(checkpoint, _FINAL_NLL_SAMPLES, config.seed)
-    final_nll = float(np.mean(_side_by_side(*passes)))
     return TrainReport(
         loss_trace=np.asarray(trace),
         phase_boundary=phase_boundary,
         stop_reason=stop_reason,
-        checkpoint=checkpoint,
-        final_nll_per_map=final_nll,
+        checkpoint=LowRankGaussian(mean, factor, diag_raw, TOY_LENGTH, 1, config.rank),
     )
-
-
-def _nll_passes(model: LowRankGaussian, num_samples: int, seed: int) -> list:
-    """One pass per toy map: its Monte-Carlo NLL, from its own stream."""
-    return [
-        partial(_nll, model, label_map, num_samples, mix_seed(seed, 0xE7A1, k))
-        for k, label_map in enumerate(make_toy_dataset().maps)
-    ]
 
 
 def _nll(model: LowRankGaussian, label_map: LabelMap, num_samples: int, seed: int):
@@ -242,7 +228,8 @@ def evaluate_toy(
     so they run side by side when a second CPU is usable."""
     data = make_toy_dataset()
     *nll_by_map, pred = _side_by_side(
-        *_nll_passes(model, n_lik_samples, seed),
+        *(partial(_nll, model, label_map, n_lik_samples, mix_seed(seed, 0xE7A1, k))
+          for k, label_map in enumerate(data.maps)),
         partial(_thresholded_draw, model, n_samples, mix_seed(seed, 0x5A3B)),
     )
     rows, weights = pred.distinct_rows()

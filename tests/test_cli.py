@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssn_lab
-from ssn_lab import DivergenceError, LabelMap, LowRankGaussian, PortableRng, formats
+from ssn_lab import (
+    DivergenceError,
+    LabelMap,
+    LowRankGaussian,
+    PortableRng,
+    evaluate_toy,
+    formats,
+)
 from ssn_lab.cli import main
 
 REFERENCE_TRACE = (
@@ -24,8 +31,12 @@ REFERENCE_TRACE = (
 
 # 10**16 rows or columns need 1.7-1.8 EB, more than any 64-bit machine maps
 # (at most 2**57 bytes) but under numpy's own size limit, so the allocation
-# fails with MemoryError before a byte is touched.
+# fails with MemoryError before a byte is touched. 10**18 rows of two or more
+# columns pass that limit, and 10**20 passes numpy's largest dimension: numpy
+# refuses both before allocating anything.
 UNALLOCATABLE = str(10**16)
+PAST_SIZE_LIMIT = str(10**18)
+PAST_DIMENSION_LIMIT = str(10**20)
 
 QUICK_TRAIN = [
     "--pretrain-iters", "500",
@@ -103,6 +114,19 @@ class TestToyTrain:
         assert (tmp_path / "a" / "model.ssnt").read_bytes() == (
             tmp_path / "b" / "model.ssnt"
         ).read_bytes()
+
+    def test_report_nll_is_evaluate_toys(self, tmp_path, capsys):
+        """report.json's final NLL is evaluate_toy's at the run's seed, to
+        the bit, and the same flags write the same report."""
+        args = ["toy-train", "--seed", "4", *QUICK_TRAIN]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        report = (tmp_path / "a" / "report.json").read_bytes()
+        assert report == (tmp_path / "b" / "report.json").read_bytes()
+        model = formats.load_distribution(tmp_path / "a" / "model.ssnt")
+        nll = evaluate_toy(model, seed=4).nll_per_map
+        assert json.loads(report)["final_nll_per_map"] == nll
+        assert f"final_nll_per_map={nll:.4f} " in capsys.readouterr().out
 
     def test_rank_zero_is_usage_error(self, tmp_path, capsys):
         assert main(["toy-train", "--rank", "0", "--out", str(tmp_path)]) == 2
@@ -646,6 +670,18 @@ class TestOneUsageErrorPath:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ssn-lab")
         assert named in lines[0]
+        assert "invalid _" not in lines[0]  # no private function's name
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["sample", "--n", "x"], "'x'"), (["toy-train", "--rank", "1.5"], "'1.5'"),
+         (["rank-sweep", "--ranks", "1,x"], "'x'")],
+        ids=["sample", "toy-train", "rank-sweep"],
+    )
+    def test_bad_integer_flag_names_its_text(self, capsys, argv, text):
+        assert main(argv) == 2
+        line = capsys.readouterr().err.strip()
+        assert line.endswith(f"expected a positive integer, got {text}")
 
     @pytest.mark.parametrize(
         "argv", [["--help"], ["sample", "--help"]], ids=["top", "subcommand"]
@@ -663,15 +699,20 @@ class TestOneUsageErrorPath:
              "--iters", "5", "--mc-samples", "5"],
             ["sample", "--n", UNALLOCATABLE],
             ["toy-eval", "--samples", UNALLOCATABLE, "--lik-samples", "50"],
+            ["toy-train", "--rank", PAST_SIZE_LIMIT, "--pretrain-iters", "1"],
+            ["sample", "--n", PAST_SIZE_LIMIT],
+            ["sample", "--n", PAST_DIMENSION_LIMIT],
+            ["toy-eval", "--samples", PAST_SIZE_LIMIT, "--lik-samples", "50"],
         ],
-        ids=["toy-train", "sample", "toy-eval"],
+        ids=["toy-train", "sample", "toy-eval", "toy-train-past-limit",
+             "sample-past-limit", "sample-past-dimension", "toy-eval-past-limit"],
     )
     def test_unallocatable_size_is_usage_error(
         self, trained_dir, tmp_path, capsys, argv
     ):
         """A size whose first array needs over an exbibyte, beyond any
-        machine's address space, fails to allocate at once: exit 2, one error
-        line and no output directory."""
+        machine's address space or past numpy's own size limit, fails at
+        once: exit 2, one error line and no output directory."""
         if argv[0] != "toy-train":
             argv = [*argv, "--model", str(trained_dir / "model.ssnt")]
         out = tmp_path / "out"
@@ -915,4 +956,5 @@ def test_cli_fuzz_exits_through_main(case):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "usage:" not in lines[0]
+            assert "invalid _" not in lines[0]  # a flag type's private name
             assert _tree(root) == before

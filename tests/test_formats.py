@@ -331,8 +331,3 @@ class TestPgmPlots:
         with pytest.raises(ValidationError, match="non-empty 2-d"):
             formats.write_pgm_plot(tmp_path / "plot.pgm", np.zeros(shape))
         assert list(tmp_path.iterdir()) == []
-
-    def test_expand_line_repeats_columns(self):
-        image = formats.expand_line(np.array([1.0, 2.0]), width=3)
-        assert image.shape == (2, 3)
-        assert np.all(image[0] == 1.0) and np.all(image[1] == 2.0)

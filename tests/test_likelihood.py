@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import expit, logsumexp
 
 from ssn_lab import (
+    GradCheckResult,
     LabelMap,
     LowRankGaussian,
     NoiseDraw,
@@ -253,9 +254,7 @@ class TestGradients:
         (outer thirds share labels across maps and keep a -+0.5 pull)."""
         data = make_toy_dataset()
         dist = degenerate_dist(np.zeros(21))
-        noise = NoiseDraw(
-            eps_factor=np.zeros((1, 1)), eps_diag=np.zeros((1, 21)), seed=0
-        )
+        noise = NoiseDraw(eps_factor=np.zeros((1, 1)), eps_diag=np.zeros((1, 21)))
         total = np.zeros(21)
         for label_map in data.maps:
             total += grad_ssn_mc_loss(dist, label_map, noise).mean
@@ -282,16 +281,14 @@ class TestGradients:
     def test_noise_mismatch_rejected(self):
         dist = random_instance(1, max_dim=4, max_rank=2)
         labels = random_labels(1, dist.num_pixels, 1)
-        bad = NoiseDraw(
-            np.zeros((1, dist.rank + 1)), np.zeros((1, dist.dim)), seed=0
-        )
+        bad = NoiseDraw(np.zeros((1, dist.rank + 1)), np.zeros((1, dist.dim)))
         with pytest.raises(ShapeError):
             grad_ssn_mc_loss(dist, labels, bad)
 
     def test_empty_noise_rejected(self):
         dist = random_instance(1, max_dim=4, max_rank=2)
         labels = random_labels(1, dist.num_pixels, 1)
-        empty = NoiseDraw(np.zeros((0, dist.rank)), np.zeros((0, dist.dim)), seed=0)
+        empty = NoiseDraw(np.zeros((0, dist.rank)), np.zeros((0, dist.dim)))
         with pytest.raises(ShapeError):
             grad_ssn_mc_loss(dist, labels, empty)
 
@@ -311,7 +308,7 @@ class TestGradients:
         )
         eps_factor, eps_diag = draw_noise(3, 2, 12, seed)
         grads = grad_ssn_mc_loss(
-            dist, rng_labels, NoiseDraw(eps_factor, eps_diag, seed=seed)
+            dist, rng_labels, NoiseDraw(eps_factor, eps_diag)
         )
         numeric = finite_diff_grad(
             lambda p: _mc_forward(
@@ -924,7 +921,7 @@ class TestForwardReuse:
 
     @staticmethod
     def recomputed(dist, labels, noise):
-        fresh = NoiseDraw(noise.eps_factor, noise.eps_diag, noise.seed)
+        fresh = NoiseDraw(noise.eps_factor, noise.eps_diag)
         return grad_ssn_mc_loss(dist, labels, fresh)
 
     @staticmethod
@@ -969,7 +966,7 @@ class TestForwardReuse:
         dist = random_instance(2, max_dim=8, max_rank=2)
         labels = random_labels(2, dist.num_pixels, 1)
         noise = ssn_mc_loss(dist, labels, 3, rng_seed=2).noise
-        fresh = NoiseDraw(noise.eps_factor, noise.eps_diag, noise.seed)
+        fresh = NoiseDraw(noise.eps_factor, noise.eps_diag)
         assert noise == fresh
         assert repr(noise) == repr(fresh)
 
@@ -1004,6 +1001,24 @@ class TestFiniteDifferences:
         result = gradient_check_suite(trials=20, seed=7)
         assert result.failures == 0
         assert result.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize(
+        "rel_tol, abs_floor, failures",
+        [(1e-4, 1e-7, 0), (1e-8, 1e-10, 1), (1e-9, 1e-12, 13)],
+    )
+    def test_gradient_check_suite_result_is_pinned(
+        self, monkeypatch, rel_tol, abs_floor, failures
+    ):
+        """The result of 20 trials at seed 7, recorded when each parameter
+        was compared on its own; the tighter tolerances make trials fail."""
+        import ssn_lab.likelihood as likelihood
+
+        monkeypatch.setattr(likelihood, "_REL_TOL", rel_tol)
+        monkeypatch.setattr(likelihood, "_ABS_FLOOR", abs_floor)
+        assert gradient_check_suite(trials=20, seed=7) == GradCheckResult(
+            trials=20, failures=failures, max_rel_error=2.811922452076065e-08,
+            worst_trial=9,
+        )
 
     def test_gradient_check_suite_draws_one_to_three_classes(self, monkeypatch):
         import ssn_lab.likelihood as likelihood

@@ -184,11 +184,10 @@ class TestSampling:
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             random_instance(0).sample(2, -1)
 
-    def test_noise_draw_records_seed_and_shapes(self):
+    def test_noise_draw_shapes(self):
         dist = random_instance(6)
         samples, noise = dist.sample(4, seed=42)
         assert samples.shape == (4, dist.dim)
-        assert noise.seed == 42
         assert noise.eps_factor.shape == (4, dist.rank)
         assert noise.eps_diag.shape == (4, dist.dim)
 

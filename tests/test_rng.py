@@ -112,6 +112,31 @@ def test_one_cpu_keeps_the_draw_on_the_calling_thread(small_thresholds, monkeypa
     assert small_thresholds and all(small_thresholds)
 
 
+def test_one_cpu_splits_by_size_and_starts_no_thread(two_cpus, monkeypatch):
+    """With one CPU a draw of ``_SPLIT_MIN`` still splits by its size, and
+    ``_side_by_side`` fills both halves on the calling thread, in order,
+    with the serial bytes and no pool."""
+    monkeypatch.setattr(rng_module.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(rng_module, "ThreadPoolExecutor", None)  # not callable
+    threads = threading.active_count()
+    got = PortableRng(3).standard_normal(rng_module._SPLIT_MIN)
+    assert got.tobytes() == one_shot(3, rng_module._SPLIT_MIN).tobytes()
+    assert two_cpus == [True, True]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "size, error",
+    [((10**18, 2), MemoryError), (10**20, MemoryError), (-1, ValueError),
+     ((3, -1), ValueError)],
+)
+def test_size_past_numpys_limit_is_a_memory_error(size, error):
+    """numpy refuses these sizes before allocating: past its array-size
+    limit nothing can hold the draw, while a negative size is a bad value."""
+    with pytest.raises(error):
+        PortableRng(0).standard_normal(size)
+
+
 def test_failure_in_second_half_is_raised(small_thresholds, monkeypatch):
     fill = rng_module._fill_normal
 

@@ -1,13 +1,18 @@
+import math
 import os
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
+from scipy.special import logsumexp
 
 import ssn_lab.toy
 from ssn_lab import (
+    DIAG_FLOOR,
     LowRankGaussian,
     OverflowSignal,
     SampleSet,
@@ -15,6 +20,7 @@ from ssn_lab import (
     TrainConfig,
     ValidationError,
     evaluate_toy,
+    formats,
     ged_squared,
     labels_from_logits,
     make_toy_dataset,
@@ -78,7 +84,6 @@ class TestTraining:
         assert np.array_equal(first.checkpoint.mean, second.checkpoint.mean)
         assert np.array_equal(first.checkpoint.factor, second.checkpoint.factor)
         assert np.array_equal(first.checkpoint.diag_raw, second.checkpoint.diag_raw)
-        assert first.final_nll_per_map == second.final_nll_per_map
         assert first.stop_reason == second.stop_reason
 
     def test_diagonal_mode_pins_factor_to_zero(self):
@@ -225,6 +230,82 @@ class TestEvaluation:
         assert evaluation.diversity == 0.0
         assert evaluation.histogram["map1"] == 1.0
         assert evaluation.num_distinct_maps == 1
+
+
+# `toy-train --seed 1` at protocol defaults: rank 2, singular values 21.17
+# and 0.0056, sqrt(D) about 0.00447.
+PROTOCOL_MODEL = Path(__file__).resolve().parent / "data" / "toy_rank2_seed1.ssnt"
+
+# One M = 10 000 estimate of a map's NLL scatters around the exact value
+# with a standard deviation of about 0.012: over 60 seeds on the protocol
+# model, the mean of MC minus quadrature had standard errors of 0.0015 and
+# 0.0016 per map, times sqrt(60). (The diagonal model below measured 0.009.)
+# A mean over the fixed seeds is held to four of its standard errors.
+MC_SD = 0.0016 * math.sqrt(60)
+ORACLE_SEEDS = range(8)
+
+
+def _normal_nodes(n):
+    """Gauss-Hermite nodes and weights for E[f(Z)], Z standard normal."""
+    x, w = hermgauss(n)
+    return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+
+
+def exact_toy_nll(model, label_map, grid=1001, z2_nodes=8, pixel_nodes=20):
+    """-log p(labels) of a single-logit model of rank <= 2, by quadrature.
+
+    With factor = U S V^T, z' = V^T z is standard normal, and the logits are
+    mean + U S z' + sqrt(D) eps. Given z' the pixels are independent, each
+    an E[sigmoid(+-eta)] over its own diagonal noise (Gauss-Hermite). z'_1,
+    along the largest singular value, where the integrand is close to a
+    step, is integrated on a uniform grid over [-9, 9] against the normal
+    density, and z'_2 by Gauss-Hermite, in log space. A zero factor leaves
+    the product of the per-pixel terms. Finer grids (up to 4001 x 20 x 60)
+    move the value by under 1e-13."""
+    u, s, _ = np.linalg.svd(model.factor, full_matrices=False)
+    assert s.size <= 2
+    loadings = np.zeros((model.dim, 2))
+    loadings[:, : s.size] = u * s
+    z1 = np.linspace(-9.0, 9.0, grid)
+    log_w1 = -0.5 * z1**2 - 0.5 * math.log(2.0 * math.pi) + math.log(z1[1] - z1[0])
+    z2, w2 = _normal_nodes(z2_nodes)
+    loc = model.mean + z1[:, None, None] * loadings[:, 0] + z2[:, None] * loadings[:, 1]
+    x, w = _normal_nodes(pixel_nodes)
+    sign = np.where(label_map.labels == 1, 1.0, -1.0)[:, None]
+    scale = np.sqrt(np.logaddexp(0.0, model.diag_raw) + DIAG_FLOOR)[:, None]
+    log_sigmoid = -np.logaddexp(0.0, -sign * (loc[..., None] + scale * x))
+    pixel = logsumexp(log_sigmoid + np.log(w), axis=-1)
+    return float(-logsumexp(pixel.sum(axis=-1) + log_w1[:, None] + np.log(w2)))
+
+
+class TestExactNllOracle:
+    """``ssn_mc_loss`` at M = 10 000 against the toy likelihood computed by
+    quadrature, per map, on a trained rank-2 model and on a diagonal one."""
+
+    @staticmethod
+    def assert_mc_matches(model, label_map, exact):
+        estimates = [ssn_mc_loss(model, label_map, 10_000, seed).value
+                     for seed in ORACLE_SEEDS]
+        bound = 4 * MC_SD / math.sqrt(len(ORACLE_SEEDS))
+        assert abs(np.mean(estimates) - exact) <= bound
+
+    @pytest.mark.parametrize(
+        "k, exact", [(0, 0.9764706511923), (1, 0.9974774064025)], ids=["map1", "map2"]
+    )
+    def test_protocol_rank_two_model(self, k, exact):
+        model = formats.load_distribution(PROTOCOL_MODEL)
+        label_map = make_toy_dataset().maps[k]
+        assert exact_toy_nll(model, label_map) == pytest.approx(exact, abs=1e-12)
+        self.assert_mc_matches(model, label_map, exact)
+
+    @pytest.mark.parametrize("k", [0, 1], ids=["map1", "map2"])
+    def test_diagonal_model(self, k):
+        """A zero factor and sqrt(D) about 0.56, so the diagonal noise moves
+        each outer pixel's likelihood."""
+        mean = np.concatenate([np.full(7, 2.0), np.zeros(7), np.full(7, -2.0)])
+        model = LowRankGaussian(mean, np.zeros((21, 1)), np.full(21, -1.0), 21, 1, 1)
+        label_map = make_toy_dataset().maps[k]
+        self.assert_mc_matches(model, label_map, exact_toy_nll(model, label_map))
 
 
 def serial_evaluation(model, n_samples, n_lik_samples, seed):
@@ -374,6 +455,21 @@ class TestRankSweep:
         assert (failed[0]["seed"], failed[0]["stop_reason"]) == (1, "")
         assert all(np.isnan(failed[0][key]) for key in ("nll", "diversity", "ged2"))
         assert [row["status"] for row in rows if row["rank"] == 1] == ["ok"]
+
+    def test_cell_scores_each_map_once_at_full_size(self, monkeypatch):
+        """A cell's NLL is its evaluation's: one 10 000-sample pass per map
+        and no other."""
+        sizes = []
+        loss = ssn_lab.toy.ssn_mc_loss
+
+        def counted(dist, labels, num_samples, seed):
+            sizes.append(num_samples)
+            return loss(dist, labels, num_samples, seed)
+
+        monkeypatch.setattr(ssn_lab.toy, "ssn_mc_loss", counted)
+        row = ssn_lab.toy._run_sweep_cell((1, 1, TrainConfig(**QUICK)))
+        assert row["status"] == "ok"
+        assert sizes == [10_000, 10_000]
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValidationError):

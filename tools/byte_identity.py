@@ -16,7 +16,11 @@ CPUs 0 and 1, crossed with ``OPENBLAS_NUM_THREADS`` 1 and 2. The jobs:
 - a short ``rank-sweep`` with ``--jobs 2``;
 - ``sample`` twice, ``manipulate`` and ``metrics`` on the two sample sets;
 - the paper-size digests of ``tests/test_likelihood.py``
-  (``GOLDEN_PAPER_DIGESTS`` and ``GOLDEN_COLLAPSED_DIGESTS``), recomputed.
+  (``GOLDEN_PAPER_DIGESTS`` and ``GOLDEN_COLLAPSED_DIGESTS``), recomputed;
+- a paper-size training trace: 600 SGD steps at learning rate 0.01 and 20
+  samples on ``paper_size_case(2, seed, 0.3)`` of that side's
+  ``tests/test_likelihood.py``, at seeds 1, 2 and 7, with one SHA-256 per
+  seed over every step's loss, per-sample log-likelihoods and gradients.
 
 Every output file and every job's stdout (with the run's directory masked)
 gets one SHA-256. The script prints one line per artifact, the digest if all
@@ -53,6 +57,29 @@ for key in sorted(t.GOLDEN_COLLAPSED_DIGESTS):
 """
 
 
+TRACE = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, "tests")
+import test_likelihood as t
+from ssn_lab import LowRankGaussian, grad_ssn_mc_loss, mix_seed, ssn_mc_loss
+for seed in (1, 2, 7):
+    dist, labels = t.paper_size_case(2, seed, 0.3)
+    digest = hashlib.sha256()
+    for step in range(600):
+        loss = ssn_mc_loss(dist, labels, 20, rng_seed=mix_seed(seed, step))
+        grads = grad_ssn_mc_loss(dist, labels, loss.noise)
+        for array in (np.float64(loss.value), loss.per_sample_loglik, *grads):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        dist = LowRankGaussian(
+            dist.mean - 0.01 * grads.mean, dist.factor - 0.01 * grads.factor,
+            dist.diag_raw - 0.01 * grads.diag_raw,
+            dist.num_pixels, dist.num_classes, dist.rank,
+        )
+    print(seed, digest.hexdigest())
+"""
+
+
 def jobs(work: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) per job, in dependency order; each writes under ``work``."""
     model = str(work / "train" / "model.ssnt")
@@ -80,6 +107,7 @@ def jobs(work: Path) -> list[tuple[str, list[str]]]:
                      "--pred", str(work / "samples-b"),
                      "--out", str(work / "metrics.json")]),
         ("digests", [sys.executable, "-c", DIGESTS]),
+        ("paper-trace", [sys.executable, "-c", TRACE]),
     ]
 
 
