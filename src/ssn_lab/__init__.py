@@ -6,6 +6,8 @@ distribution-level evaluation metrics, patch stitching with post-inference
 sample manipulation, and a reproducible toy experiment with CLI front end.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DivergenceError,
     NumericalError,
@@ -67,52 +69,7 @@ from .rng import PortableRng, mix_seed
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DIAG_FLOOR",
-    "DeviationScale",
-    "DivergenceError",
-    "GradCheckResult",
-    "LabelMap",
-    "LossValue",
-    "LowRankGaussian",
-    "MetricReport",
-    "NoiseDraw",
-    "NumericalError",
-    "OverflowSignal",
-    "ParamGrads",
-    "Patch",
-    "PatchedParams",
-    "PortableRng",
-    "SampleSet",
-    "ShapeError",
-    "SizeGuardError",
-    "ToyDataset",
-    "ToyEvalReport",
-    "TrainConfig",
-    "TrainReport",
-    "ValidationError",
-    "apply_deviation_scale",
-    "cross_entropy_loss",
-    "dsc",
-    "dsc_nod",
-    "evaluate_toy",
-    "finite_diff_grad",
-    "ged_squared",
-    "grad_ssn_mc_loss",
-    "gradient_check_suite",
-    "iou_distance",
-    "label_log_likelihood",
-    "labels_from_logits",
-    "make_toy_dataset",
-    "marginal_entropy",
-    "mix_seed",
-    "most_likely_prediction",
-    "rank_sweep",
-    "sample_diversity",
-    "softplus",
-    "softplus_inv",
-    "ssn_mc_loss",
-    "stitch",
-    "summarize_sweep",
-    "train_toy",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -77,19 +77,14 @@ class PatchedParams:
                     f"patch at {patch.offset} carries factor {factor.shape}, "
                     f"expected ({elements}, {self.rank})"
                 )
-
-
-def _patch_window(patch: Patch, full_shape: tuple[int, ...]) -> tuple[slice, ...]:
-    """The image window a patch covers, checked to lie inside the image."""
-    for axis, (start, extent, full) in enumerate(
-        zip(patch.offset, patch.shape, full_shape)
-    ):
-        if start < 0 or extent < 1 or start + extent > full:
-            raise ValidationError(
-                f"patch at {patch.offset} with shape {patch.shape} leaves the "
-                f"image of shape {full_shape} on axis {axis}"
-            )
-    return tuple(slice(o, o + e) for o, e in zip(patch.offset, patch.shape))
+            for axis, (start, extent, full) in enumerate(
+                zip(patch.offset, patch.shape, self.full_shape)
+            ):
+                if start < 0 or extent < 1 or start + extent > full:
+                    raise ValidationError(
+                        f"patch at {patch.offset} with shape {patch.shape} leaves "
+                        f"the image of shape {self.full_shape} on axis {axis}"
+                    )
 
 
 def stitch(params: PatchedParams) -> LowRankGaussian:
@@ -106,7 +101,7 @@ def stitch(params: PatchedParams) -> LowRankGaussian:
     factor = np.empty((*shape, num_classes, rank))
     diag_raw = np.empty((*shape, num_classes))
     for patch in params.patches:
-        window = _patch_window(patch, shape)
+        window = tuple(slice(o, o + e) for o, e in zip(patch.offset, patch.shape))
         coverage[window] += 1
         mean[window] = np.reshape(patch.mean, (*patch.shape, num_classes))
         factor[window] = np.reshape(patch.factor, (*patch.shape, num_classes, rank))

@@ -256,16 +256,17 @@ def cmd_gradcheck(args) -> int:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mc-samples", type=_positive_int, default=200,
+    parser.add_argument("--mc-samples", default=TrainConfig.mc_samples,
+                        type=_positive_int,
                         help="Monte-Carlo samples per loss evaluation")
-    parser.add_argument("--iters", type=_positive_int, default=10_000,
-                        help="joint training iterations")
-    parser.add_argument("--pretrain-iters", type=_positive_int, default=2_000,
-                        help="mean-only pre-training iterations")
-    parser.add_argument("--lr", type=float, default=0.05,
-                        help="joint-phase learning rate")
-    parser.add_argument("--pretrain-lr", type=float, default=0.05,
-                        help="pre-training learning rate")
+    parser.add_argument("--iters", default=TrainConfig.iterations,
+                        type=_positive_int, help="joint training iterations")
+    parser.add_argument("--pretrain-iters", default=TrainConfig.pretrain_iterations,
+                        type=_positive_int, help="mean-only pre-training iterations")
+    parser.add_argument("--lr", default=TrainConfig.learning_rate,
+                        type=float, help="joint-phase learning rate")
+    parser.add_argument("--pretrain-lr", default=TrainConfig.pretrain_learning_rate,
+                        type=float, help="pre-training learning rate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     train.add_argument("--mode", choices=("diagonal", "lowrank"), default="lowrank")
-    train.add_argument("--rank", type=_positive_int, default=2)
+    train.add_argument("--rank", type=_positive_int, default=TrainConfig.rank)
     _add_train_flags(train)
-    train.add_argument("--seed", type=int, default=1)
+    train.add_argument("--seed", type=int, default=TrainConfig.seed)
     train.add_argument("--out", default="toy-run")
     train.set_defaults(func=cmd_toy_train)
 

@@ -36,6 +36,8 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
     count of at least 1."""
     if num_classes is None or num_classes < 1:
         raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
+    if num_classes > 2**63:  # int64 labels cannot reach further classes
+        raise ValidationError(f"num_classes must be <= 2**63, got {num_classes}")
     limit = max(num_classes, 2)
     if labels.size and (labels.min() < 0 or labels.max() >= limit):
         raise ValidationError(

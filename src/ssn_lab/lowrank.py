@@ -126,10 +126,6 @@ class LowRankGaussian:
     def effective_diag(self) -> np.ndarray:
         return effective_diag(self.diag_raw)
 
-    def marginal_variance(self) -> np.ndarray:
-        """Per-element variance: row norms of the factor plus the diagonal."""
-        return np.einsum("ir,ir->i", self.factor, self.factor) + self.effective_diag
-
     def sample(self, n: int, seed: int):
         """Draw ``n`` reparameterised samples.
 

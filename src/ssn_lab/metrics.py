@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,11 @@ class SampleSet:
             self._distinct = rows, weights
         return self._distinct
 
+    @cached_property
+    def foreground_classes(self) -> tuple[int, ...]:
+        """The non-background classes in the set, ascending."""
+        return tuple(int(cls) for cls in np.unique(self.distinct_rows()[0]) if cls)
+
 
 def _unique_rows(rows: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(rows, axis=0, return_counts=True)`` for label rows in
@@ -125,18 +131,19 @@ class MetricReport:
 
 
 def pairwise_iou_distance(
-    rows_a: np.ndarray, rows_b: np.ndarray, num_classes: int
+    rows_a: np.ndarray, rows_b: np.ndarray, classes: list[int]
 ) -> np.ndarray:
     """Matrix of 1 - IoU distances between two stacks of label rows.
 
-    Per pair, IoU is averaged over non-background classes present in either
-    map; pairs where every non-background class is absent from both maps get
-    distance 0. Passing the same array twice computes each overlap once.
+    ``classes`` are, ascending, the non-background classes present in either
+    stack; a class in neither would add nothing. Per pair, IoU is averaged
+    over the classes present in either map; pairs where every non-background
+    class is absent from both maps get distance 0. Passing the same array
+    twice computes each overlap once.
     """
-    effective = max(num_classes, 2)
     iou_sum = np.zeros((rows_a.shape[0], rows_b.shape[0]))
     present = np.zeros_like(iou_sum)
-    for cls in range(1, effective):
+    for cls in classes:
         in_a = rows_a == cls
         in_b = in_a if rows_a is rows_b else rows_b == cls
         intersection = _overlap_counts(in_a, in_b)
@@ -169,18 +176,15 @@ def _overlap_counts(in_a: np.ndarray, in_b: np.ndarray) -> np.ndarray:
 def iou_distance(a: LabelMap, b: LabelMap) -> float:
     """1 - IoU between two label maps, background class excluded."""
     _check_pair(a, b)
-    return float(
-        pairwise_iou_distance(a.labels[None, :], b.labels[None, :], a.num_classes)[0, 0]
-    )
+    return _mean_distance(SampleSet(samples=[a]), SampleSet(samples=[b]))
 
 
 def _mean_distance(a: SampleSet, b: SampleSet) -> float:
     """Distance averaged over all ordered pairs, one map from each set."""
     rows_a, weights_a = a.distinct_rows()
     rows_b, weights_b = b.distinct_rows()
-    return float(
-        weights_a @ pairwise_iou_distance(rows_a, rows_b, a.num_classes) @ weights_b
-    )
+    classes = sorted({*a.foreground_classes, *b.foreground_classes})
+    return float(weights_a @ pairwise_iou_distance(rows_a, rows_b, classes) @ weights_b)
 
 
 def ged_squared(gt: SampleSet, pred: SampleSet) -> MetricReport:
@@ -246,8 +250,9 @@ def dsc_nod(pred: LabelMap, gts: SampleSet) -> float | None:
     if not len(rows):
         return None
     total = defined_classes = 0.0
+    classes = {*SampleSet(samples=[pred]).foreground_classes, *gts.foreground_classes}
     # Class by class from 0.0: numpy's order for a mean of under 8 values.
-    for cls in range(1, max(gts.num_classes, 2)):
+    for cls in sorted(classes):
         score, defined = _dice(pred.labels, rows, cls)
         total = total + score
         defined_classes = defined_classes + defined

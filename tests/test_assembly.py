@@ -259,6 +259,26 @@ class TestStitch:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "offset, shape, mean_size, error",
+        [((4,), (3,), 3, ValidationError), ((-1,), (2,), 2, ValidationError),
+         ((0,), (0,), 0, ValidationError), ((4,), (3,), 4, ShapeError)],
+        ids=["past-the-end", "negative-offset", "empty", "shape-error-first"],
+    )
+    def test_patch_outside_image_rejected_on_construction(
+        self, offset, shape, mean_size, error
+    ):
+        """Each patch's bounds are checked with its shapes, after them."""
+        patch = Patch(
+            offset=offset,
+            shape=shape,
+            mean=np.zeros(mean_size),
+            factor=np.zeros((int(np.prod(shape)), 1)),
+            diag_raw=np.zeros(int(np.prod(shape))),
+        )
+        with pytest.raises(error):
+            PatchedParams(patches=[patch], full_shape=(5,), num_classes=1, rank=1)
+
     def test_bad_patch_payload_rejected(self):
         with pytest.raises(ShapeError):
             PatchedParams(
@@ -406,7 +426,7 @@ class TestDeviationScale:
         collapsed = apply_deviation_scale(
             dist, DeviationScale(per_class=np.array([0.0, 1.0]))
         )
-        variances = collapsed.marginal_variance()
+        variances = (collapsed.factor**2).sum(axis=1) + collapsed.effective_diag
         class_zero = np.arange(dist.dim) % dist.num_classes == 0
         assert np.all(variances[class_zero] <= DIAG_FLOOR * (1 + 1e-9))
 

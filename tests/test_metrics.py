@@ -222,6 +222,18 @@ class TestDscNod:
         gts = SampleSet(samples=[x, x])
         assert dsc_nod(x, gts) == 1.0
 
+    def test_declared_classes_past_the_labels_change_nothing(self):
+        rng = np.random.default_rng(8)
+        pred, rows = rng.integers(0, 3, size=12), rng.integers(0, 3, size=(5, 12))
+        rows[:, 0] = 2  # class 2 in every ground truth, class 1 in the prediction
+        pred[:2] = 1
+        values = [
+            dsc_nod(LabelMap(labels=pred, num_classes=c),
+                    SampleSet(labels=rows, num_classes=c))
+            for c in (3, 10**5)
+        ]
+        assert np.float64(values[0]).tobytes() == np.float64(values[1]).tobytes()
+
 
 def reference_dsc(pred, gt, cls):
     """Dice of one class from Python integer counts, one pair of maps."""
@@ -352,6 +364,17 @@ class TestSampleSet:
         other = random_sample_set(4, 6, num_pixels=5, num_classes=num_classes)
         assert ged_squared(other, matrix) == ged_squared(other, maps)
 
+    def test_foreground_classes_are_the_present_ones_computed_once(self):
+        sample_set = SampleSet(labels=[[0, 7, 7], [3, 0, 7]], num_classes=2**63)
+        classes = sample_set.foreground_classes
+        assert classes == (3, 7) and all(type(cls) is int for cls in classes)
+        assert sample_set.foreground_classes is classes
+
+    @pytest.mark.parametrize("num_classes", [2**63 + 1, 2**64, int(1e30)])
+    def test_class_count_past_int64_labels_rejected(self, num_classes):
+        with pytest.raises(ValidationError, match="2\\*\\*63"):
+            SampleSet(labels=[[0, 1]], num_classes=num_classes)
+
     def test_label_matrix_is_a_copy(self):
         sample_set = SampleSet(labels=np.zeros((2, 3), dtype=np.int64), num_classes=1)
         sample_set.label_matrix()[0, 0] = 1
@@ -476,9 +499,15 @@ def float64_iou_distance(rows_a, rows_b, num_classes):
     return 1.0 - mean_iou
 
 
+def present_classes(rows_a, rows_b):
+    """The non-background classes in either stack, ascending."""
+    return sorted({*np.unique(rows_a).tolist(), *np.unique(rows_b).tolist()} - {0})
+
+
 class TestPairwiseIouDistance:
-    """Float32 overlap counts, chunked pixels and the self-pair product must
-    reproduce the float64 indicator products byte for byte."""
+    """Float32 overlap counts, chunked pixels, the self-pair product and the
+    loop over present classes only must reproduce the float64 indicator
+    products over every declared class byte for byte."""
 
     @staticmethod
     def label_rows(seed, count, pixels, num_classes):
@@ -497,7 +526,7 @@ class TestPairwiseIouDistance:
         rows_a = self.label_rows(num_classes, 30, 130, num_classes)
         rows_b = self.label_rows(num_classes + 10, 17, 130, num_classes)
         for a, b in ((rows_a, rows_b), (rows_b, rows_a), (rows_a, rows_a)):
-            got = pairwise_iou_distance(a, b, num_classes)
+            got = pairwise_iou_distance(a, b, present_classes(a, b))
             assert got.tobytes() == float64_iou_distance(a, b, num_classes).tobytes()
 
     @pytest.mark.parametrize("chunk", [None, 5])
@@ -505,17 +534,24 @@ class TestPairwiseIouDistance:
         if chunk is not None:
             monkeypatch.setattr(metrics, "_EXACT_F32_COUNT", chunk)
         rows = self.label_rows(3, 40, 97, 4)
-        same = pairwise_iou_distance(rows, rows, 4)
-        assert same.tobytes() == pairwise_iou_distance(rows, rows.copy(), 4).tobytes()
+        classes = present_classes(rows, rows)
+        same = pairwise_iou_distance(rows, rows, classes)
+        copy = pairwise_iou_distance(rows, rows.copy(), classes)
+        assert same.tobytes() == copy.tobytes()
         assert np.array_equal(same, same.T) and not np.any(np.diag(same))
 
     def test_paper_size_counts_are_exact(self):
         rows_a = self.label_rows(5, 100, 128 * 128, 4)
         rows_b = self.label_rows(6, 4, 128 * 128, 4)
         for a, b in ((rows_b, rows_a), (rows_a, rows_a)):
-            got = pairwise_iou_distance(a, b, 4)
+            got = pairwise_iou_distance(a, b, present_classes(a, b))
             assert got.tobytes() == float64_iou_distance(a, b, 4).tobytes()
+
+    def test_absent_classes_add_nothing(self):
+        rows = self.label_rows(7, 20, 50, 3) * 2  # classes 0, 2 and 4 of 6
+        got = pairwise_iou_distance(rows, rows[::-1], [2, 4])
+        assert got.tobytes() == float64_iou_distance(rows, rows[::-1], 6).tobytes()
 
     def test_no_pixels(self):
         rows = np.zeros((3, 0), dtype=np.uint8)
-        assert np.array_equal(pairwise_iou_distance(rows, rows, 2), np.zeros((3, 3)))
+        assert np.array_equal(pairwise_iou_distance(rows, rows, []), np.zeros((3, 3)))

@@ -2,14 +2,21 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import ssn_lab
 
 
-def test_public_names_resolve_and_are_sorted():
+def test_star_import_binds_exactly_all():
+    """``__all__`` is sorted, and ``import *`` binds it and nothing else: no
+    private name and no submodule."""
+    namespace = {}
+    exec("from ssn_lab import *", namespace)
+    del namespace["__builtins__"]
     names = ssn_lab.__all__
-    assert [name for name in names if not hasattr(ssn_lab, name)] == []
-    assert names == sorted(set(names))
+    assert sorted(namespace) == names == sorted(set(names))
+    assert not [name for name in names if name.startswith("_")]
+    assert not [name for name in names if isinstance(namespace[name], ModuleType)]
 
 
 def test_import_leaves_scipy_linalg_unloaded():

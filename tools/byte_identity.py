@@ -15,6 +15,8 @@ CPUs 0 and 1, crossed with ``OPENBLAS_NUM_THREADS`` 1 and 2. The jobs:
   and at ``--samples 10000 --lik-samples 10000``;
 - a short ``rank-sweep`` with ``--jobs 2``;
 - ``sample`` twice, ``manipulate`` and ``metrics`` on the two sample sets;
+- ``metrics`` on generated JSON label maps of 4 classes, and on maps that
+  declare 300 classes (16-bit labels), some of them absent from every map;
 - the paper-size digests of ``tests/test_likelihood.py``
   (``GOLDEN_PAPER_DIGESTS`` and ``GOLDEN_COLLAPSED_DIGESTS``), recomputed;
 - a paper-size training trace: 600 SGD steps at learning rate 0.01 and 20
@@ -80,6 +82,28 @@ for seed in (1, 2, 7):
 """
 
 
+# Ground truth and predictions of 48 pixels, each map drawing from six of the
+# declared classes; half the predictions repeat one of four maps.
+LABEL_MAPS = """
+import json, sys
+from pathlib import Path
+import numpy as np
+rng = np.random.default_rng(24)
+for classes in (4, 300):
+    repeated = [rng.integers(0, classes, 6)[rng.integers(0, 6, 48)] for _ in range(4)]
+    for name, count in (("gt", 5), ("pred", 12)):
+        directory = Path(sys.argv[1]) / f"maps{classes}-{name}"
+        directory.mkdir()
+        for index in range(count):
+            labels = rng.integers(0, classes, 6)[rng.integers(0, 6, 48)]
+            if name == "pred" and index % 2:
+                labels = repeated[rng.integers(0, 4)]
+            document = {"shape": [6, 8], "num_classes": classes,
+                        "labels": labels.tolist()}
+            (directory / f"m{index:02d}.json").write_text(json.dumps(document))
+"""
+
+
 def jobs(work: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) per job, in dependency order; each writes under ``work``."""
     model = str(work / "train" / "model.ssnt")
@@ -106,6 +130,12 @@ def jobs(work: Path) -> list[tuple[str, list[str]]]:
         ("metrics", [*cli, "metrics", "--gt", str(work / "samples-a"),
                      "--pred", str(work / "samples-b"),
                      "--out", str(work / "metrics.json")]),
+        ("label-maps", [sys.executable, "-c", LABEL_MAPS, str(work)]),
+        *((f"metrics-{classes}", [*cli, "metrics",
+                                  "--gt", str(work / f"maps{classes}-gt"),
+                                  "--pred", str(work / f"maps{classes}-pred"),
+                                  "--out", str(work / f"metrics-{classes}.json")])
+          for classes in (4, 300)),
         ("digests", [sys.executable, "-c", DIGESTS]),
         ("paper-trace", [sys.executable, "-c", TRACE]),
     ]
