@@ -20,6 +20,7 @@ from .lowrank import (
     DIAG_FLOOR,
     LowRankGaussian,
     NoiseDraw,
+    Params,
     softplus,
     softplus_inv,
 )
@@ -27,7 +28,6 @@ from .likelihood import (
     GradCheckResult,
     LabelMap,
     LossValue,
-    ParamGrads,
     cross_entropy_loss,
     finite_diff_grad,
     grad_ssn_mc_loss,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .likelihood import LabelMap, labels_from_logits
-from .lowrank import LowRankGaussian, effective_diag_inv
+from .lowrank import LowRankGaussian, Params, effective_diag_inv
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,14 @@ class PatchedParams:
                     f"patch offset {patch.offset} / shape {patch.shape} do not "
                     f"match a {len(self.full_shape)}-d image"
                 )
-            elements = patch.num_pixels * self.num_classes
-            mean = np.asarray(patch.mean)
-            factor = np.asarray(patch.factor)
-            diag_raw = np.asarray(patch.diag_raw)
-            if mean.shape != (elements,) or diag_raw.shape != (elements,):
-                raise ShapeError(
-                    f"patch at {patch.offset} carries {mean.shape} mean entries, "
-                    f"expected ({elements},)"
-                )
-            if factor.shape != (elements, self.rank):
-                raise ShapeError(
-                    f"patch at {patch.offset} carries factor {factor.shape}, "
-                    f"expected ({elements}, {self.rank})"
-                )
+            shapes = Params.shapes(patch.num_pixels * self.num_classes, self.rank)
+            for name, shape in shapes._asdict().items():
+                got = np.shape(getattr(patch, name))
+                if got != shape:
+                    raise ShapeError(
+                        f"patch at {patch.offset} carries {name} {got}, "
+                        f"expected {shape}"
+                    )
             for axis, (start, extent, full) in enumerate(
                 zip(patch.offset, patch.shape, self.full_shape)
             ):
@@ -97,15 +91,14 @@ def stitch(params: PatchedParams) -> LowRankGaussian:
     """
     shape, num_classes, rank = params.full_shape, params.num_classes, params.rank
     coverage = np.zeros(shape, dtype=np.int64)
-    mean = np.empty((*shape, num_classes))
-    factor = np.empty((*shape, num_classes, rank))
-    diag_raw = np.empty((*shape, num_classes))
+    # One full-image array per tensor, shaped [*full_shape, per-pixel shape].
+    per_pixel = Params.shapes(num_classes, rank)
+    full = Params(*(np.empty((*shape, *extents)) for extents in per_pixel))
     for patch in params.patches:
         window = tuple(slice(o, o + e) for o, e in zip(patch.offset, patch.shape))
         coverage[window] += 1
-        mean[window] = np.reshape(patch.mean, (*patch.shape, num_classes))
-        factor[window] = np.reshape(patch.factor, (*patch.shape, num_classes, rank))
-        diag_raw[window] = np.reshape(patch.diag_raw, (*patch.shape, num_classes))
+        for array, extents, name in zip(full, per_pixel, Params._fields):
+            array[window] = np.reshape(getattr(patch, name), (*patch.shape, *extents))
     bad = np.argwhere(coverage != 1)
     if len(bad):
         coords = [tuple(int(i) for i in pixel) for pixel in bad[:8]]
@@ -115,10 +108,9 @@ def stitch(params: PatchedParams) -> LowRankGaussian:
             f"pixels, first at {coords}"
         )
     # C order of [*full_shape, classes] is the pixel-major, class-minor layout.
+    flat = Params.shapes(coverage.size * num_classes, rank)
     return LowRankGaussian(
-        mean=mean.reshape(-1),
-        factor=factor.reshape(-1, rank),
-        diag_raw=diag_raw.reshape(-1),
+        *(np.reshape(array, extents) for array, extents in zip(full, flat)),
         num_pixels=coverage.size,
         num_classes=num_classes,
         rank=rank,

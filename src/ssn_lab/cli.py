@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,16 +44,20 @@ _SAMPLE_PLOT_COLUMNS = 14
 _PLOT_COLUMN_WIDTH = 12
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(least: int, text: str) -> int:
+    """``text`` as an integer of at least ``least`` (0 or 1)."""
     try:
         value = int(text)
     except ValueError:  # argparse would name this function, not the text
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        value = None
+    if value is None or value < least:
+        kind = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return value
+
+
+_positive_int = partial(_int_at_least, 1)
+_seed = partial(_int_at_least, 0)
 
 
 def _int_list(text: str) -> list[int]:
@@ -176,8 +181,6 @@ def cmd_rank_sweep(args) -> int:
 def cmd_sample(args) -> int:
     if not np.isfinite(args.threshold):
         raise UsageError(f"--threshold must be finite, got {args.threshold}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     model = formats.load_distribution(args.model)
     samples, _ = model.sample(args.n, args.seed)
     rows = labels_from_logits(samples, model.num_classes, args.threshold)
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--mode", choices=("diagonal", "lowrank"), default="lowrank")
     train.add_argument("--rank", type=_positive_int, default=TrainConfig.rank)
     _add_train_flags(train)
-    train.add_argument("--seed", type=int, default=TrainConfig.seed)
+    train.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     train.add_argument("--out", default="toy-run")
     train.set_defaults(func=cmd_toy_train)
 
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="samples for histogram/diversity estimates")
     evaluate.add_argument("--lik-samples", type=_positive_int, default=10_000,
                           help="samples for the NLL estimate")
-    evaluate.add_argument("--seed", type=int, default=0)
+    evaluate.add_argument("--seed", type=_seed, default=0)
     evaluate.add_argument("--out", default="toy-eval")
     evaluate.set_defaults(func=cmd_toy_eval)
 
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="draw label maps from a saved model")
     sample.add_argument("--model", required=True)
     sample.add_argument("--n", type=_positive_int, default=16)
-    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--seed", type=_seed, default=0)
     sample.add_argument("--threshold", type=float, default=0.0,
                         help="logit threshold for binary maps")
     sample.add_argument("--out", default="samples")
@@ -370,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gradcheck", help="finite-difference check of the loss gradients"
     )
     gradcheck.add_argument("--trials", type=_positive_int, default=50)
-    gradcheck.add_argument("--seed", type=int, default=1)
+    gradcheck.add_argument("--seed", type=_seed, default=1)
     gradcheck.set_defaults(func=cmd_gradcheck)
 
     return parser

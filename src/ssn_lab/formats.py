@@ -20,20 +20,29 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .likelihood import LabelMap
-from .lowrank import LowRankGaussian
+from .lowrank import LowRankGaussian, Params
 
 SSNT_FORMAT = "SSNT"
 SSNT_VERSION = 1
-_TENSORS = ("mean", "factor", "diag_raw")
 
 
 def _integers(values, what: str) -> list[int]:
-    """A JSON list of integral numbers, not fractions or booleans, as ints."""
+    """A list of integral numbers, not fractions or booleans, as ints."""
     if not isinstance(values, list) or not all(
-        type(v) is int or type(v) is float and v.is_integer() for v in values
+        isinstance(v, (int, np.integer)) and type(v) is not bool
+        or type(v) is float and v.is_integer()
+        for v in values
     ):
         raise ValidationError(f"{what} must be a list of integers")
     return [int(v) for v in values]
+
+
+def _extents(values, count: int, what: str) -> list[int]:
+    """``values`` as integral, non-negative extents whose product is ``count``."""
+    shape = _integers(values, f"{what} shape")
+    if min(shape, default=0) < 0 or math.prod(shape) != count:
+        raise ValidationError(f"{what} declares shape {shape} but has {count} values")
+    return shape
 
 
 def _tensor_payload(array: np.ndarray) -> dict:
@@ -42,15 +51,11 @@ def _tensor_payload(array: np.ndarray) -> dict:
 
 def _tensor_from_payload(payload, name: str) -> np.ndarray:
     try:
-        shape = tuple(_integers(payload["shape"], "shape"))
+        shape = payload["shape"]
         data = np.asarray(payload["data"], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"malformed tensor {name!r}: {err}") from err
-    if data.size != math.prod(shape) or min(shape, default=0) < 0:
-        raise ValidationError(
-            f"tensor {name!r} declares shape {shape} but carries {data.size} values"
-        )
-    return data.reshape(shape)
+    return data.reshape(_extents(shape, data.size, f"tensor {name!r}"))
 
 
 def save_distribution(path, dist: LowRankGaussian) -> None:
@@ -60,7 +65,7 @@ def save_distribution(path, dist: LowRankGaussian) -> None:
         "S": dist.num_pixels,
         "C": dist.num_classes,
         "R": dist.rank,
-        **{name: _tensor_payload(getattr(dist, name)) for name in _TENSORS},
+        **{name: _tensor_payload(getattr(dist, name)) for name in Params._fields},
     }
     Path(path).write_text(json.dumps(document, separators=(",", ":")) + "\n")
 
@@ -81,7 +86,9 @@ def load_distribution(path) -> LowRankGaussian:
             f"unsupported SSNT version {document.get('version')!r} in {path}"
         )
     try:
-        tensors = [_tensor_from_payload(document.get(name), name) for name in _TENSORS]
+        tensors = [
+            _tensor_from_payload(document.get(name), name) for name in Params._fields
+        ]
         dims = _integers([document.get(key) for key in "SCR"], "SSNT dimensions")
         return LowRankGaussian(*tensors, *dims)
     except (ShapeError, ValidationError) as err:
@@ -90,11 +97,11 @@ def load_distribution(path) -> LowRankGaussian:
 
 def save_label_map(path, label_map: LabelMap, shape=None) -> None:
     """Write a label map as JSON; ``shape`` records pixel extents (defaults
-    to the flat pixel count)."""
+    to the flat pixel count), checked as the loader checks them."""
     if shape is None:
         shape = [label_map.num_pixels]
     document = {
-        "shape": [int(s) for s in shape],
+        "shape": _extents(list(shape), label_map.num_pixels, f"label map {path}"),
         "num_classes": label_map.num_classes,
         "labels": label_map.labels.tolist(),
     }
@@ -107,7 +114,7 @@ def load_label_map(path) -> tuple[LabelMap, list[int]]:
     """Read a JSON label map; returns the map and its pixel shape."""
     document = _read_json(path)
     try:
-        shape = _integers(document["shape"], "shape")
+        shape = document["shape"]
         (num_classes,) = _integers([document["num_classes"]], "num_classes")
         if (mask := document.get("mask")) is not None and not (
             isinstance(mask, list) and all(type(b) is bool for b in mask)
@@ -116,12 +123,7 @@ def load_label_map(path) -> tuple[LabelMap, list[int]]:
         label_map = LabelMap(_integers(document["labels"], "labels"), num_classes, mask)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"malformed label map file {path}: {err}") from err
-    if label_map.num_pixels != math.prod(shape):
-        raise ValidationError(
-            f"label map {path} declares shape {shape} but has "
-            f"{label_map.num_pixels} labels"
-        )
-    return label_map, shape
+    return label_map, _extents(shape, label_map.num_pixels, f"label map {path}")
 
 
 def label_map_from_pgm(path) -> tuple[LabelMap, list[int]]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -23,6 +22,7 @@ from .lowrank import (
     _BLOCK,
     LowRankGaussian,
     NoiseDraw,
+    Params,
     check_logits,
     draw_noise,
     effective_diag,
@@ -102,12 +102,6 @@ class LossValue:
     value: float
     per_sample_loglik: np.ndarray  # [num_samples]
     noise: NoiseDraw
-
-
-class ParamGrads(NamedTuple):
-    mean: np.ndarray
-    factor: np.ndarray
-    diag_raw: np.ndarray
 
 
 def _sum_last_axis(x: np.ndarray):
@@ -216,13 +210,13 @@ def _check_pair(a, b) -> None:
         )
 
 
-def _mc_forward(mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag):
+def _mc_forward(params: Params, labels: LabelMap, noise: NoiseDraw):
     """Loss value, per-sample log-likelihoods, their softmax weights and the
     one array the backward pass reads, for fixed noise: the logit samples
     for one logit, the softmax numerators [n, num_pixels, num_classes] for
     two or more classes. The one forward pass behind the loss, its gradient
     and the finite-difference oracle."""
-    samples = reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag)
+    samples = reconstruct_samples(params, noise)
     loglik, numer = _label_terms(samples, labels)
     if not np.all(np.isfinite(loglik)):
         raise OverflowSignal("non-finite per-sample log-likelihood")
@@ -232,7 +226,7 @@ def _mc_forward(mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag):
     return value, loglik, weights, samples if numer is None else numer
 
 
-def _mc_backward(diag_raw, labels: LabelMap, eps_factor, eps_diag, weights, block):
+def _mc_backward(params: Params, labels: LabelMap, noise: NoiseDraw, weights, block):
     """Exact gradient from the forward pass's weights and ``block`` (see
     ``_mc_forward``), which it overwrites with the residual. Only samples of
     non-zero weight are read: at paper size their log-likelihoods differ by
@@ -241,6 +235,7 @@ def _mc_backward(diag_raw, labels: LabelMap, eps_factor, eps_diag, weights, bloc
     sums over samples and the BLAS matrix product add in sample order onto
     ``+0.0``, so leaving it out changes no bit. A matrix-vector product
     (rank 1, or one logit) adds in groups, so there every sample is kept."""
+    eps_factor, eps_diag = noise.eps_factor, noise.eps_diag
     keep = np.flatnonzero(weights)
     if keep.size < weights.size and min(eps_factor.shape[1], eps_diag.shape[1]) > 1:
         weights, block = weights[keep], block[keep]
@@ -260,10 +255,11 @@ def _mc_backward(diag_raw, labels: LabelMap, eps_factor, eps_diag, weights, bloc
     residual = residual.reshape(weights.size, -1)
     grad_mean = residual.sum(axis=0)
     grad_factor = residual.T @ eps_factor
+    diag_raw = params.diag_raw
     sqrt_d_deriv = 0.5 / np.sqrt(effective_diag(diag_raw)) * expit(diag_raw)
     residual *= eps_diag
     grad_diag_raw = residual.sum(axis=0) * sqrt_d_deriv
-    return ParamGrads(grad_mean, grad_factor, grad_diag_raw)
+    return Params(grad_mean, grad_factor, grad_diag_raw)
 
 
 def ssn_mc_loss(
@@ -281,33 +277,28 @@ def ssn_mc_loss(
     if num_samples < 1:
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
     _check_pair(dist, labels)
-    eps_factor, eps_diag = draw_noise(num_samples, dist.rank, dist.dim, rng_seed)
-    value, loglik, weights, block = _mc_forward(
-        dist.mean, dist.factor, dist.diag_raw, labels, eps_factor, eps_diag
-    )
-    noise = NoiseDraw(eps_factor, eps_diag)
+    noise = draw_noise(num_samples, dist.rank, dist.dim, rng_seed)
+    value, loglik, weights, block = _mc_forward(dist, labels, noise)
     # A plain attribute, not a field: out of repr, equality and replace().
     object.__setattr__(noise, "_forward", (dist, labels, weights, block))
     return LossValue(value=value, per_sample_loglik=loglik, noise=noise)
 
 
 def loss_and_grads(
-    mean, factor, diag_raw, labels: LabelMap, eps_factor, eps_diag
-) -> tuple[float, ParamGrads]:
+    params: Params, labels: LabelMap, noise: NoiseDraw
+) -> tuple[float, Params]:
     """Loss and its exact gradient for fixed noise, on raw arrays.
 
     The unvalidated kernel behind ``grad_ssn_mc_loss`` and the toy trainer:
     callers guarantee consistent shapes and finite parameters.
     """
-    value, _, weights, block = _mc_forward(
-        mean, factor, diag_raw, labels, eps_factor, eps_diag
-    )
-    return value, _mc_backward(diag_raw, labels, eps_factor, eps_diag, weights, block)
+    value, _, weights, block = _mc_forward(params, labels, noise)
+    return value, _mc_backward(params, labels, noise, weights, block)
 
 
 def grad_ssn_mc_loss(
     dist: LowRankGaussian, labels: LabelMap, noise: NoiseDraw
-) -> ParamGrads:
+) -> Params:
     """Reparameterisation gradient of the Monte-Carlo loss, holding the
     recorded noise fixed.
 
@@ -331,11 +322,8 @@ def grad_ssn_mc_loss(
     # Popped, so the in-place backward runs at most once on the record.
     record = vars(noise).pop("_forward", None)
     if record is not None and record[0] is dist and record[1] is labels:
-        return _mc_backward(dist.diag_raw, labels, eps_factor, eps_diag, *record[2:])
-    _, grads = loss_and_grads(
-        dist.mean, dist.factor, dist.diag_raw, labels, eps_factor, eps_diag
-    )
-    return grads
+        return _mc_backward(dist, labels, noise, *record[2:])
+    return loss_and_grads(dist, labels, noise)[1]
 
 
 def finite_diff_grad(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5):
@@ -392,11 +380,8 @@ def gradient_check_suite(trials: int, seed: int) -> GradCheckResult:
         num_classes = int(rng.integers(1, 4))
         rank = int(rng.integers(1, 4))
         num_samples = int(rng.integers(1, 6))
-        params = {
-            "mean": rng.standard_normal(num_pixels * num_classes),
-            "factor": rng.standard_normal((num_pixels * num_classes, rank)),
-            "diag_raw": rng.standard_normal(num_pixels * num_classes),
-        }
+        shapes = Params.shapes(num_pixels * num_classes, rank)
+        params = Params(*(rng.standard_normal(shape) for shape in shapes))
         labels_arr = np.asarray(
             rng.integers(0, max(num_classes, 2), size=num_pixels), dtype=np.int64
         )
@@ -406,14 +391,15 @@ def gradient_check_suite(trials: int, seed: int) -> GradCheckResult:
             if not mask.any():
                 mask[0] = True
         labels = LabelMap(labels=labels_arr, num_classes=num_classes, mask=mask)
-        eps_factor, eps_diag = draw_noise(
+        noise = draw_noise(
             num_samples, rank, num_pixels * num_classes, mix_seed(seed, trial, 1)
         )
-        fixed = {"labels": labels, "eps_factor": eps_factor, "eps_diag": eps_diag}
-        _, analytic = loss_and_grads(**params, **fixed)
-        numeric = finite_diff_grad(lambda p: _mc_forward(**p, **fixed)[0], params)
+        _, analytic = loss_and_grads(params, labels, noise)
+        numeric = finite_diff_grad(
+            lambda p: _mc_forward(Params(**p), labels, noise)[0], params._asdict()
+        )
         a = np.concatenate([g.reshape(-1) for g in analytic])
-        g = np.concatenate([numeric[name].reshape(-1) for name in params])
+        g = np.concatenate([numeric[name].reshape(-1) for name in Params._fields])
         diff = np.abs(a - g)
         scale = np.maximum(np.abs(a), np.abs(g))
         trial_max = float((diff / np.maximum(scale, _ABS_FLOOR)).max())

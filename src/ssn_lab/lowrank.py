@@ -16,6 +16,7 @@ Cholesky route is provided as an independent oracle for verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,14 +64,19 @@ def check_logits(logits, dim: int) -> np.ndarray:
     return x
 
 
-def _as_locked_f64(arr, shape, name: str) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, order="C", copy=True)
-    if out.shape != shape:
-        raise ShapeError(f"{name} has shape {out.shape}, expected {shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    out.setflags(write=False)
-    return out
+class Params(NamedTuple):
+    """The three tensors of a low-rank Gaussian over ``dim`` flat elements,
+    or the gradient of a loss with respect to them. A ``LowRankGaussian``
+    has the same fields, so it is passed wherever a ``Params`` is read."""
+
+    mean: np.ndarray  # [dim], logit units
+    factor: np.ndarray  # [dim, rank], logit units
+    diag_raw: np.ndarray  # [dim], unconstrained reals
+
+    @staticmethod
+    def shapes(dim: int, rank: int) -> Params:
+        """The shape of each tensor for ``dim`` elements and ``rank``."""
+        return Params((dim,), (dim, rank), (dim,))
 
 
 @dataclass(frozen=True)
@@ -109,14 +115,15 @@ class LowRankGaussian:
                 "num_pixels, num_classes and rank must all be at least 1, got "
                 f"({self.num_pixels}, {self.num_classes}, {self.rank})"
             )
-        dim = self.num_pixels * self.num_classes
-        object.__setattr__(self, "mean", _as_locked_f64(self.mean, (dim,), "mean"))
-        object.__setattr__(
-            self, "factor", _as_locked_f64(self.factor, (dim, self.rank), "factor")
-        )
-        object.__setattr__(
-            self, "diag_raw", _as_locked_f64(self.diag_raw, (dim,), "diag_raw")
-        )
+        for name, shape in Params.shapes(self.dim, self.rank)._asdict().items():
+            value = getattr(self, name)
+            value = np.array(value, dtype=np.float64, order="C", copy=True)
+            if value.shape != shape:
+                raise ShapeError(f"{name} has shape {value.shape}, expected {shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"{name} contains non-finite entries")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -136,11 +143,8 @@ class LowRankGaussian:
         """
         if n < 1:
             raise ValidationError(f"sample count must be >= 1, got {n}")
-        eps_factor, eps_diag = draw_noise(n, self.rank, self.dim, seed)
-        samples = reconstruct_samples(
-            self.mean, self.factor, self.diag_raw, eps_factor, eps_diag
-        )
-        return samples, NoiseDraw(eps_factor, eps_diag)
+        noise = draw_noise(n, self.rank, self.dim, seed)
+        return reconstruct_samples(self, noise), noise
 
     def log_prob(self, logits) -> float:
         """Exact Gaussian log-density in O(dim * rank^2) time.
@@ -189,8 +193,8 @@ class LowRankGaussian:
         return float(-0.5 * (solved @ solved + log_det + self.dim * _LOG_2PI))
 
 
-def draw_noise(n: int, rank: int, dim: int, seed: int):
-    """Standard-normal noise for ``n`` samples: ([n, rank], [n, dim]), both
+def draw_noise(n: int, rank: int, dim: int, seed: int) -> NoiseDraw:
+    """Standard-normal noise for ``n`` samples: [n, rank] and [n, dim], both
     read-only, so a loss and its gradient see the same draws. The diagonal
     noise is a view of the drawn ``[n, rank + dim]`` block, not a copy: every
     use of it is elementwise, which gives the same bits on either layout."""
@@ -198,10 +202,10 @@ def draw_noise(n: int, rank: int, dim: int, seed: int):
     block.setflags(write=False)
     eps_factor = np.ascontiguousarray(block[:, :rank])
     eps_factor.setflags(write=False)
-    return eps_factor, block[:, rank:]
+    return NoiseDraw(eps_factor, block[:, rank:])
 
 
-def reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag) -> np.ndarray:
+def reconstruct_samples(params: Params, noise: NoiseDraw) -> np.ndarray:
     """Sample reconstruction from raw, unvalidated arrays and recorded noise.
 
     Shared by sampling, the loss, its gradient and the finite-difference
@@ -210,12 +214,12 @@ def reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag) -> np.ndar
     the diagonal term added in row blocks of about ``_BLOCK`` elements, so no
     full-size temporary is made.
     """
-    scale = np.sqrt(effective_diag(diag_raw))
-    samples = eps_factor @ factor.T
-    samples += mean
+    scale = np.sqrt(effective_diag(params.diag_raw))
+    samples = noise.eps_factor @ params.factor.T
+    samples += params.mean
     rows = max(1, _BLOCK // max(1, samples.shape[1]))
     for start in range(0, samples.shape[0], rows):
-        samples[start : start + rows] += eps_diag[start : start + rows] * scale
+        samples[start : start + rows] += noise.eps_diag[start : start + rows] * scale
     return samples
 
 

@@ -29,7 +29,7 @@ from .likelihood import (
     loss_and_grads,
     ssn_mc_loss,
 )
-from .lowrank import LowRankGaussian, draw_noise, softplus_inv
+from .lowrank import LowRankGaussian, Params, draw_noise, softplus_inv
 from .metrics import SampleSet, ged_squared
 from .rng import PortableRng, _side_by_side, mix_seed
 
@@ -144,15 +144,14 @@ def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainRep
     data = make_toy_dataset()
     rng = PortableRng(config.seed)
 
-    mean = np.zeros(TOY_LENGTH)
     if covariance_mode == "lowrank":
         factor = _FACTOR_INIT_SCALE * rng.standard_normal((TOY_LENGTH, config.rank))
     else:
         factor = np.zeros((TOY_LENGTH, config.rank))
-    diag_raw = np.full(TOY_LENGTH, _DIAG_RAW_INIT)
 
     trace: list[float] = []
-    mean = _pretrain_mean(mean, data, config, trace)
+    mean = _pretrain_mean(np.zeros(TOY_LENGTH), data, config, trace)
+    params = Params(mean, factor, np.full(TOY_LENGTH, _DIAG_RAW_INIT))
     phase_boundary = len(trace)
 
     stop_reason = "completed"
@@ -160,13 +159,9 @@ def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainRep
     for _ in range(config.iterations):
         map_index = int(rng.integers(0, 2))
         noise_seed = rng.draw_seed()
-        eps_factor, eps_diag = draw_noise(
-            config.mc_samples, config.rank, TOY_LENGTH, noise_seed
-        )
+        noise = draw_noise(config.mc_samples, config.rank, TOY_LENGTH, noise_seed)
         try:
-            loss, grads = loss_and_grads(
-                mean, factor, diag_raw, data.maps[map_index], eps_factor, eps_diag
-            )
+            loss, grads = loss_and_grads(params, data.maps[map_index], noise)
         except OverflowSignal:
             stop_reason = "overflow_early_stop"
             break
@@ -174,22 +169,19 @@ def train_toy(config: TrainConfig, covariance_mode: str = "lowrank") -> TrainRep
             stop_reason = "overflow_early_stop"
             break
         trace.append(loss)
-        new_mean = mean - config.learning_rate * grads.mean
-        new_diag_raw = diag_raw - config.learning_rate * grads.diag_raw
-        if covariance_mode == "lowrank":
-            new_factor = factor - config.learning_rate * grads.factor
-        else:
-            new_factor = factor
-        if not _within_bounds(threshold, new_mean, new_factor, new_diag_raw):
+        new = Params(*(p - config.learning_rate * g for p, g in zip(params, grads)))
+        if covariance_mode == "diagonal":
+            new = new._replace(factor=params.factor)
+        if not _within_bounds(threshold, *new):
             stop_reason = "overflow_early_stop"
             break
-        mean, factor, diag_raw = new_mean, new_factor, new_diag_raw
+        params = new
 
     return TrainReport(
         loss_trace=np.asarray(trace),
         phase_boundary=phase_boundary,
         stop_reason=stop_reason,
-        checkpoint=LowRankGaussian(mean, factor, diag_raw, TOY_LENGTH, 1, config.rank),
+        checkpoint=LowRankGaussian(*params, TOY_LENGTH, 1, config.rank),
     )
 
 

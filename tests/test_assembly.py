@@ -296,6 +296,25 @@ class TestStitch:
                 rank=1,
             )
 
+    @pytest.mark.parametrize("later_too", [False, True], ids=["alone", "first"])
+    @pytest.mark.parametrize("name", ["mean", "factor", "diag_raw"])
+    def test_mis_shaped_tensor_is_named(self, name, later_too):
+        """The error names the mis-shaped tensor and its shape; with the
+        tensors after it mis-shaped too, the first in the order mean, factor,
+        diag_raw is the one named."""
+        names = ["mean", "factor", "diag_raw"]
+        bad = {"mean": (5,), "factor": (4, 3), "diag_raw": (6,)}
+        wrong = names[names.index(name) :] if later_too else [name]
+        shapes = {n: bad[n] if n in wrong else ((4, 2) if n == "factor" else (4,))
+                  for n in names}
+        patch = Patch(offset=(0,), shape=(4,),
+                      **{n: np.zeros(shape) for n, shape in shapes.items()})
+        with pytest.raises(ShapeError) as caught:
+            PatchedParams(patches=[patch], full_shape=(4,), num_classes=1, rank=2)
+        message = str(caught.value)
+        assert f"carries {name} {bad[name]}" in message
+        assert all(other not in message for other in names if other != name)
+
 
 class TestDeviationScale:
     def test_identity_is_bit_preserving(self):

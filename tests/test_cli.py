@@ -749,6 +749,25 @@ class TestOneUsageErrorPath:
         assert line.endswith(f"expected a positive integer, got {text}")
 
     @pytest.mark.parametrize(
+        "command", ["toy-train", "toy-eval", "sample", "gradcheck"]
+    )
+    def test_negative_seed_is_rejected_by_every_command(
+        self, tmp_path, capsys, command
+    ):
+        """One rule for every ``--seed``: a negative seed exits 2 with one
+        ``error:`` line naming the text, and writes no ``--out``."""
+        argv = [command, "--seed", "-1"]
+        if command in ("toy-eval", "sample"):
+            argv += ["--model", str(tmp_path / "model.ssnt")]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: ssn-lab {command}")
+        assert lines[0].endswith("expected a non-negative integer, got '-1'")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "argv", [["--help"], ["sample", "--help"]], ids=["top", "subcommand"]
     )
     def test_help_still_exits_0(self, capsys, argv):

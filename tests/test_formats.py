@@ -185,6 +185,46 @@ class TestLabelMapFiles:
         with pytest.raises(ValidationError):
             formats.load_label_map(path)
 
+    @pytest.mark.parametrize(
+        "shape", [[-2, -2], [-1, -4], [2, -2, -1], [3], [4, 0], [1.5, 2]],
+        ids=["negative-pair", "negative-pair-2", "two-negatives", "short", "zero",
+             "fractional"],
+    )
+    def test_shape_must_be_extents_of_the_labels(self, tmp_path, shape):
+        """Integral, non-negative extents whose product is the label count."""
+        path = tmp_path / "map.json"
+        path.write_text(
+            json.dumps({"shape": shape, "num_classes": 1, "labels": [1, 0, 1, 0]})
+        )
+        with pytest.raises(ValidationError, match="map.json"):
+            formats.load_label_map(path)
+
+    @pytest.mark.parametrize(
+        "count, shape",
+        [(4, [3]), (2, [2.5]), (4, [-2, -2]), (2, [2, True]), (4, "4"), (4, [])],
+        ids=["short", "fractional", "negative-pair", "boolean", "string", "empty"],
+    )
+    def test_save_rejects_what_load_rejects(self, tmp_path, count, shape):
+        """``save_label_map`` checks the shape as its loader does, and
+        raises before it writes anything."""
+        label_map = LabelMap(labels=np.arange(count) % 2, num_classes=1)
+        path = tmp_path / "map.json"
+        with pytest.raises(ValidationError, match="map.json"):
+            formats.save_label_map(path, label_map, shape=shape)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), [2.0, 3], np.array([2, 3]), [np.int32(6)]],
+        ids=["tuple", "integral-float", "numpy-array", "numpy-int"],
+    )
+    def test_save_accepts_integral_extents(self, tmp_path, shape):
+        label_map = LabelMap(labels=np.arange(6) % 2, num_classes=1)
+        path = tmp_path / "map.json"
+        formats.save_label_map(path, label_map, shape=shape)
+        loaded, loaded_shape = formats.load_label_map(path)
+        assert loaded_shape == [int(extent) for extent in shape]
+        assert np.array_equal(loaded.labels, label_map.labels)
+
     def test_pgm_roundtrip_for_binary_2d(self, tmp_path):
         labels = np.array([[1, 0, 1], [0, 1, 0]])
         label_map = LabelMap(labels=labels.reshape(-1), num_classes=1)
@@ -267,6 +307,7 @@ class TestStrictFields:
         "fractional-S": lambda d: d.update(S=4.9),
         "boolean-R": lambda d: d.update(R=True),
         "fractional-tensor-shape": lambda d: d["mean"].update(shape=[4.2]),
+        "negative-tensor-shape": lambda d: d["factor"].update(shape=[-4, -1]),
     }
 
     @pytest.mark.parametrize("case", sorted(SSNT_MUTATIONS))

@@ -16,6 +16,7 @@ from ssn_lab import (
     LowRankGaussian,
     NoiseDraw,
     OverflowSignal,
+    Params,
     PortableRng,
     ShapeError,
     ValidationError,
@@ -166,9 +167,7 @@ class TestMcLoss:
         labels = random_labels(2, dist.num_pixels, 1)
         result = ssn_mc_loss(dist, labels, num_samples=1, rng_seed=5)
         noise = result.noise
-        sample = reconstruct_samples(
-            dist.mean, dist.factor, dist.diag_raw, noise.eps_factor, noise.eps_diag
-        )[0]
+        sample = reconstruct_samples(dist, noise)[0]
         assert result.value == pytest.approx(
             cross_entropy_loss(sample, labels), abs=1e-12
         )
@@ -306,14 +305,10 @@ class TestGradients:
         dist = LowRankGaussian(
             params["mean"], params["factor"], params["diag_raw"], 4, 3, 2
         )
-        eps_factor, eps_diag = draw_noise(3, 2, 12, seed)
-        grads = grad_ssn_mc_loss(
-            dist, rng_labels, NoiseDraw(eps_factor, eps_diag)
-        )
+        noise = draw_noise(3, 2, 12, seed)
+        grads = grad_ssn_mc_loss(dist, rng_labels, noise)
         numeric = finite_diff_grad(
-            lambda p: _mc_forward(
-                **p, labels=rng_labels, eps_factor=eps_factor, eps_diag=eps_diag
-            )[0],
+            lambda p: _mc_forward(Params(**p), labels=rng_labels, noise=noise)[0],
             params,
         )
         for name, analytic in zip(("mean", "factor", "diag_raw"), grads):
@@ -591,14 +586,14 @@ class TestOverflowContract:
         mean = np.linspace(-1.0, 1.0, dim)
         for index, value in poison:
             mean[index] = value
-        eps_factor, eps_diag = draw_noise(3, 2, dim, 5)
         return dict(
-            mean=mean,
-            factor=np.full((dim, 2), 0.1),
-            diag_raw=np.zeros(dim),
+            params=Params(
+                mean=mean,
+                factor=np.full((dim, 2), 0.1),
+                diag_raw=np.zeros(dim),
+            ),
             labels=labels,
-            eps_factor=eps_factor,
-            eps_diag=eps_diag,
+            noise=draw_noise(3, 2, dim, 5),
         )
 
     # (num_classes, [(flat index, value)]): class blocks are pixel-major;
@@ -702,9 +697,7 @@ def paper_size_digests(dist, labels, seed):
 
     loss = ssn_mc_loss(dist, labels, 20, rng_seed=seed)
     noise = loss.noise
-    weights = _mc_forward(
-        dist.mean, dist.factor, dist.diag_raw, labels, noise.eps_factor, noise.eps_diag
-    )[2]
+    weights = _mc_forward(dist, labels, noise)[2]
     grads = grad_ssn_mc_loss(dist, labels, noise)
     arrays = {
         "value": np.float64(loss.value),
@@ -814,8 +807,8 @@ def zero_weight_cases(draw):
     )
     if not labels.active_mask().any():
         labels = LabelMap(labels.labels, num_classes)
-    eps_factor, eps_diag = draw_noise(n, rank, dim, int(rng.integers(0, 2**62)))
-    eps_diag = eps_diag.copy()
+    noise = draw_noise(n, rank, dim, int(rng.integers(0, 2**62)))
+    eps_diag = noise.eps_diag.copy()
     if num_classes == 1:
         away = np.where(labels.labels == 1, -1e6, 1e6)
     else:
@@ -823,12 +816,13 @@ def zero_weight_cases(draw):
         away = np.where(onehot, -1e6, 1e6).reshape(-1)
     eps_diag[forced] = away
     args = dict(
-        mean=rng.standard_normal(dim),
-        factor=rng.standard_normal((dim, rank)),
-        diag_raw=rng.standard_normal(dim),
+        params=Params(
+            mean=rng.standard_normal(dim),
+            factor=rng.standard_normal((dim, rank)),
+            diag_raw=rng.standard_normal(dim),
+        ),
         labels=labels,
-        eps_factor=eps_factor,
-        eps_diag=eps_diag,
+        noise=NoiseDraw(noise.eps_factor, eps_diag),
     )
     return args, forced
 
@@ -847,8 +841,8 @@ class TestZeroWeightSamples:
         value, _, weights, block = _mc_forward(**args)
         assert np.all(weights[forced] == 0.0)
         expected = full_row_grads(
-            args["diag_raw"], args["labels"], args["eps_factor"], args["eps_diag"],
-            weights, block,
+            args["params"].diag_raw, args["labels"], args["noise"].eps_factor,
+            args["noise"].eps_diag, weights, block,
         )
         loss, grads = loss_and_grads(**args)
         assert same_bytes(loss, value)
@@ -862,18 +856,22 @@ class TestZeroWeightSamples:
 
         scale = np.sqrt(effective_diag(-60.0))
         args = dict(
-            mean=np.full(2, 40.0),
-            factor=np.zeros((2, 2)),
-            diag_raw=np.full(2, -60.0),
+            params=Params(
+                mean=np.full(2, 40.0),
+                factor=np.zeros((2, 2)),
+                diag_raw=np.full(2, -60.0),
+            ),
             labels=LabelMap(labels=np.array([1, 1]), num_classes=1),
-            eps_factor=np.zeros((2, 2)),
-            eps_diag=np.array([[0.0, 0.0], [-740.0 / scale, 0.0]]),
+            noise=NoiseDraw(
+                eps_factor=np.zeros((2, 2)),
+                eps_diag=np.array([[0.0, 0.0], [-740.0 / scale, 0.0]]),
+            ),
         )
         value, _, weights, block = _mc_forward(**args)
         assert 0.0 < weights[1] < 1e-300
         expected = full_row_grads(
-            args["diag_raw"], args["labels"], args["eps_factor"], args["eps_diag"],
-            weights, block,
+            args["params"].diag_raw, args["labels"], args["noise"].eps_factor,
+            args["noise"].eps_diag, weights, block,
         )
         _, grads = loss_and_grads(**args)
         assert grads.mean[0] < 0.0
@@ -1026,9 +1024,9 @@ class TestFiniteDifferences:
         seen = []
         kernel = likelihood.loss_and_grads
 
-        def recording(*args, labels, **kwargs):
+        def recording(params, labels, noise):
             seen.append(labels.num_classes)
-            return kernel(*args, labels=labels, **kwargs)
+            return kernel(params, labels, noise)
 
         monkeypatch.setattr(likelihood, "loss_and_grads", recording)
         assert gradient_check_suite(trials=20, seed=1).failures == 0

@@ -9,6 +9,7 @@ from ssn_lab import (
     DIAG_FLOOR,
     LowRankGaussian,
     NumericalError,
+    Params,
     PortableRng,
     ShapeError,
     SizeGuardError,
@@ -68,6 +69,24 @@ class TestConstruction:
                 num_classes=1,
                 rank=2,
             )
+
+    @pytest.mark.parametrize("later_too", [False, True], ids=["alone", "first"])
+    @pytest.mark.parametrize("name", ["mean", "factor", "diag_raw"])
+    def test_mis_shaped_tensor_is_named(self, name, later_too):
+        """The error names the mis-shaped tensor and its shape; with the
+        tensors after it mis-shaped too, the first in the order mean, factor,
+        diag_raw is the one named."""
+        names = ["mean", "factor", "diag_raw"]
+        bad = {"mean": (5,), "factor": (4, 3), "diag_raw": (6,)}
+        wrong = names[names.index(name) :] if later_too else [name]
+        shapes = {n: bad[n] if n in wrong else ((4, 2) if n == "factor" else (4,))
+                  for n in names}
+        with pytest.raises(ShapeError) as caught:
+            LowRankGaussian(**{n: np.zeros(shape) for n, shape in shapes.items()},
+                            num_pixels=4, num_classes=1, rank=2)
+        message = str(caught.value)
+        assert f"{name} has shape {bad[name]}" in message
+        assert all(other not in message for other in names if other != name)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
@@ -132,7 +151,8 @@ class TestSampling:
         assert np.abs(samples.std(axis=0) - 1.0).max() <= 0.02
 
     def test_noise_is_the_stream_in_row_order_and_read_only(self):
-        eps_factor, eps_diag = draw_noise(3, 2, 5, seed=4)
+        noise = draw_noise(3, 2, 5, seed=4)
+        eps_factor, eps_diag = noise.eps_factor, noise.eps_diag
         block = PortableRng(4).standard_normal((3, 7))
         assert np.array_equal(eps_factor, block[:, :2])
         assert np.array_equal(eps_diag, block[:, 2:])
@@ -151,8 +171,9 @@ class TestSampling:
         mean = rng.standard_normal(dim)
         factor = rng.standard_normal((dim, 3))
         diag_raw = rng.standard_normal(dim)
-        eps_factor, eps_diag = draw_noise(n, 3, dim, seed=dim)
-        got = reconstruct_samples(mean, factor, diag_raw, eps_factor, eps_diag)
+        noise = draw_noise(n, 3, dim, seed=dim)
+        eps_factor, eps_diag = noise.eps_factor, noise.eps_diag
+        got = reconstruct_samples(Params(mean, factor, diag_raw), noise)
         scale = np.sqrt(effective_diag(diag_raw))
         want = mean[None, :] + eps_factor @ factor.T + eps_diag * scale
         assert got.shape == (n, dim) and got.tobytes() == want.tobytes()

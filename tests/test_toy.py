@@ -115,9 +115,9 @@ class TestTraining:
         real = ssn_lab.toy.loss_and_grads
         calls = []
 
-        def tripping(mean, factor, diag_raw, *rest):
-            calls.append((mean.copy(), factor.copy(), diag_raw.copy()))
-            loss, grads = real(mean, factor, diag_raw, *rest)
+        def tripping(params, *rest):
+            calls.append(tuple(array.copy() for array in params))
+            loss, grads = real(params, *rest)
             if len(calls) <= stop_at:
                 return loss, grads
             if trip == "signal":

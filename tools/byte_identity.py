@@ -10,11 +10,14 @@ holding a source tree. Every job runs in its own subprocess with that side's
 ``src`` on ``PYTHONPATH``, once per environment: ``taskset`` to CPU 0 or to
 CPUs 0 and 1, crossed with ``OPENBLAS_NUM_THREADS`` 1 and 2. The jobs:
 
-- ``toy-train --seed 1 --pretrain-iters 200 --iters 3000``;
+- ``toy-train --seed 1 --pretrain-iters 200 --iters 3000``, and the same
+  run in ``--mode diagonal`` at ``--iters 800``;
 - ``toy-eval`` of that model at ``--samples 3000 --lik-samples 3000 --seed 11``
   and at ``--samples 10000 --lik-samples 10000``;
 - a short ``rank-sweep`` with ``--jobs 2``;
 - ``sample`` twice, ``manipulate`` and ``metrics`` on the two sample sets;
+- a generated 3-class ``PatchedParams`` of four patches, stitched and saved
+  as SSNT, then ``sample``d;
 - ``metrics`` on generated JSON label maps of 4 classes, and on maps that
   declare 300 classes (16-bit labels), some of them absent from every map;
 - the paper-size digests of ``tests/test_likelihood.py``
@@ -22,7 +25,8 @@ CPUs 0 and 1, crossed with ``OPENBLAS_NUM_THREADS`` 1 and 2. The jobs:
 - a paper-size training trace: 600 SGD steps at learning rate 0.01 and 20
   samples on ``paper_size_case(2, seed, 0.3)`` of that side's
   ``tests/test_likelihood.py``, at seeds 1, 2 and 7, with one SHA-256 per
-  seed over every step's loss, per-sample log-likelihoods and gradients.
+  seed over every step's loss, per-sample log-likelihoods and gradients;
+- ``gradcheck --trials 50 --seed 1``.
 
 Every output file and every job's stdout (with the run's directory masked)
 gets one SHA-256. The script prints one line per artifact, the digest if all
@@ -104,6 +108,29 @@ for classes in (4, 300):
 """
 
 
+# A 5x7 image of three classes at rank 2, tiled by four patches of unequal
+# extents, stitched and saved as SSNT.
+STITCH = """
+import sys
+from pathlib import Path
+import numpy as np
+from ssn_lab import Patch, PatchedParams, formats, stitch
+rng = np.random.default_rng(25)
+classes, rank, patches = 3, 2, []
+for top, height in ((0, 3), (3, 2)):
+    for left, width in ((0, 4), (4, 3)):
+        elements = height * width * classes
+        patches.append(Patch(
+            offset=(top, left), shape=(height, width),
+            mean=rng.standard_normal(elements),
+            factor=rng.standard_normal((elements, rank)),
+            diag_raw=rng.standard_normal(elements),
+        ))
+model = stitch(PatchedParams(patches, (5, 7), classes, rank))
+formats.save_distribution(Path(sys.argv[1]) / "stitched.ssnt", model)
+"""
+
+
 def jobs(work: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) per job, in dependency order; each writes under ``work``."""
     model = str(work / "train" / "model.ssnt")
@@ -111,6 +138,9 @@ def jobs(work: Path) -> list[tuple[str, list[str]]]:
     return [
         ("toy-train", [*cli, "toy-train", "--seed", "1", "--pretrain-iters", "200",
                        "--iters", "3000", "--out", str(work / "train")]),
+        ("toy-train-diagonal", [*cli, "toy-train", "--mode", "diagonal", "--seed", "1",
+                                "--pretrain-iters", "200", "--iters", "800",
+                                "--out", str(work / "train-diagonal")]),
         ("toy-eval-golden", [*cli, "toy-eval", "--model", model, "--samples", "3000",
                              "--lik-samples", "3000", "--seed", "11",
                              "--out", str(work / "eval-golden")]),
@@ -130,6 +160,10 @@ def jobs(work: Path) -> list[tuple[str, list[str]]]:
         ("metrics", [*cli, "metrics", "--gt", str(work / "samples-a"),
                      "--pred", str(work / "samples-b"),
                      "--out", str(work / "metrics.json")]),
+        ("stitch", [sys.executable, "-c", STITCH, str(work)]),
+        ("sample-stitched", [*cli, "sample", "--model", str(work / "stitched.ssnt"),
+                             "--n", "6", "--seed", "5",
+                             "--out", str(work / "samples-stitched")]),
         ("label-maps", [sys.executable, "-c", LABEL_MAPS, str(work)]),
         *((f"metrics-{classes}", [*cli, "metrics",
                                   "--gt", str(work / f"maps{classes}-gt"),
@@ -138,6 +172,7 @@ def jobs(work: Path) -> list[tuple[str, list[str]]]:
           for classes in (4, 300)),
         ("digests", [sys.executable, "-c", DIGESTS]),
         ("paper-trace", [sys.executable, "-c", TRACE]),
+        ("gradcheck", [*cli, "gradcheck", "--trials", "50", "--seed", "1"]),
     ]
 
 
