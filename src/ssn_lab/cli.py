@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .assembly import DeviationScale, apply_deviation_scale
 from .errors import DivergenceError, OverflowSignal, ShapeError, ValidationError
 from .likelihood import LabelMap, gradient_check_suite, labels_from_logits
 from .metrics import SampleSet, ged_squared
-from .rng import mix_seed
+from .rng import check_seed, mix_seed
 from .toy import (
     TOY_LENGTH,
     TrainConfig,
@@ -57,7 +57,14 @@ def _int_at_least(least: int, text: str) -> int:
 
 
 _positive_int = partial(_int_at_least, 1)
-_seed = partial(_int_at_least, 0)
+
+
+def _seed(text: str) -> int:
+    """``text`` as a seed in the domain every stream takes, [0, 2**64)."""
+    try:
+        return check_seed(_int_at_least(0, text))
+    except ValidationError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -272,6 +279,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
                         type=float, help="pre-training learning rate")
 
 
+@cache  # one build per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ssn-lab",

@@ -198,7 +198,16 @@ def draw_noise(n: int, rank: int, dim: int, seed: int) -> NoiseDraw:
     read-only, so a loss and its gradient see the same draws. The diagonal
     noise is a view of the drawn ``[n, rank + dim]`` block, not a copy: every
     use of it is elementwise, which gives the same bits on either layout."""
-    block = PortableRng(seed).standard_normal((n, rank + dim))
+    return noise_rows(range(n), rank, dim, seed)
+
+
+def noise_rows(rows: range, rank: int, dim: int, seed: int) -> NoiseDraw:
+    """The contiguous ``rows`` of the noise ``draw_noise`` gives for ``seed``,
+    drawn from its stream advanced past the rows before them."""
+    rng = PortableRng(seed)
+    if rows.start:
+        rng.advance(rows.start * (rank + dim))
+    block = rng.standard_normal((rows.stop - rows.start, rank + dim))
     block.setflags(write=False)
     eps_factor = np.ascontiguousarray(block[:, :rank])
     eps_factor.setflags(write=False)

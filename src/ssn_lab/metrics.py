@@ -276,6 +276,8 @@ def marginal_entropy(prob_samples: list[np.ndarray]) -> np.ndarray:
         stacked = np.stack([1.0 - stacked, stacked], axis=2)
     if stacked.ndim != 3:
         raise ShapeError("probability tensors must be [num_pixels, num_classes]")
+    if not np.all(np.isfinite(stacked)):
+        raise ValidationError("probabilities must be finite")
     if np.any(stacked < -1e-9) or np.any(stacked > 1.0 + 1e-9):
         raise ValidationError("probabilities must lie in [0, 1]")
     row_sums = stacked.sum(axis=2)

@@ -33,9 +33,7 @@ class PortableRng:
     """PCG64-backed generator producing inverse-CDF normal variates."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        self.seed = check_seed(seed)
         self._bits = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform_open(self, size=None) -> np.ndarray:
@@ -56,20 +54,16 @@ class PortableRng:
         if not half:
             _fill_normal(self._bits, flat)
             return out
-        bit_gen = self._bits.bit_generator
-        start = bit_gen.state
-        tail = np.random.PCG64()
-        tail.state = start
-        tail.advance(half)
-        _side_by_side(
-            lambda: _fill_normal(self._bits, flat[:half]),
-            lambda: _fill_normal(np.random.Generator(tail), flat[half:]),
-        )
-        # The tail ends where a serial draw would, but advance() dropped the
-        # buffered 32-bit output, which a serial draw keeps.
-        bit_gen.state = {**tail.state, "has_uint32": start["has_uint32"],
-                         "uinteger": start["uinteger"]}
+        tail = _advanced(self._bits, half)
+        _side_by_side(lambda: _fill_normal(self._bits, flat[:half]),
+                      lambda: _fill_normal(tail, flat[half:]))
+        self._bits = tail  # where a serial draw ends
         return out
+
+    def advance(self, count: int) -> None:
+        """Move past ``count`` variates: the stream continues exactly as after
+        a draw of that many normals."""
+        self._bits = _advanced(self._bits, count)
 
     def integers(self, low: int, high: int, size=None):
         return self._bits.integers(low, high, size=size)
@@ -81,18 +75,48 @@ class PortableRng:
 
 def _side_by_side(*passes) -> list:
     """The results of the independent zero-argument ``passes``, in order. With
-    a second CPU in this process's affinity (the load is not read), the first
-    runs on the calling thread and the rest, in copies of its context
-    (numpy's error state), on a one-thread pool, shut down on return. A
-    failure raises what a serial run would and cancels the rest."""
+    a second CPU in this process's affinity (the load is not read), the calling
+    thread runs the passes at even positions and a one-thread pool, shut down
+    on return, runs those at odd positions in copies of the caller's context
+    (numpy's error state). A failure raises what a serial run would: the
+    first in the passes' order, once every pass before it is done, and the
+    calling thread starts nothing after its own failure."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return [run() for run in passes]
     pool = ThreadPoolExecutor(1)
     try:
-        queued = [pool.submit(copy_context().run, run) for run in passes[1:]]
-        return [passes[0](), *(future.result() for future in queued)]
+        theirs = [pool.submit(copy_context().run, run) for run in passes[1::2]]
+        mine, failure = [], None
+        for run in passes[::2]:
+            try:
+                mine.append(run())
+            except Exception as err:  # raised after the pool's passes before it
+                failure = err
+                break
+        results = []
+        for index in range(len(passes)):
+            if index % 2:
+                results.append(theirs[index // 2].result())
+            elif index // 2 < len(mine):
+                results.append(mine[index // 2])
+            else:
+                raise failure
+        return results
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _advanced(bits: np.random.Generator, count: int) -> np.random.Generator:
+    """A new generator on the stream of ``bits``, ``count`` 64-bit outputs
+    ahead. ``PCG64.advance`` drops the buffered 32-bit output, which a draw
+    of normals keeps, so it is carried over; ``bits`` is left as it was."""
+    start = bits.bit_generator.state
+    ahead = np.random.PCG64()
+    ahead.state = start
+    ahead.advance(count)
+    ahead.state = {**ahead.state, "has_uint32": start["has_uint32"],
+                   "uinteger": start["uinteger"]}
+    return np.random.Generator(ahead)
 
 
 def _fill_normal(bits: np.random.Generator, out: np.ndarray) -> None:
@@ -106,16 +130,26 @@ def _fill_normal(bits: np.random.Generator, out: np.ndarray) -> None:
         ndtri(part, out=part)
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an integer in the one seed domain, [0, 2**64)."""
+    value = int(seed)
+    if not 0 <= value <= _U64:
+        bound = ">= 0" if value < 0 else "< 2**64"
+        raise ValidationError(f"seed must be {bound}, got {value}")
+    return value
+
+
 def mix_seed(*parts: int) -> int:
-    """Deterministic splitmix64-style combination of integers into a seed.
+    """Deterministic splitmix64-style combination of seeds into a seed.
 
     Used wherever independent child streams are derived from structured
     coordinates (e.g. one stream per sweep cell). Avoids Python's salted
-    ``hash``, which changes between interpreter runs.
+    ``hash``, which changes between interpreter runs. Every part must be in
+    the seed domain, so no two parts alias.
     """
     acc = _GOLDEN
     for part in parts:
-        acc = (acc ^ (int(part) & _U64)) * 0xBF58476D1CE4E5B9 & _U64
+        acc = (acc ^ check_seed(part)) * 0xBF58476D1CE4E5B9 & _U64
         acc = (acc ^ (acc >> 30)) * 0x94D049BB133111EB & _U64
         acc = acc ^ (acc >> 31)
         acc = (acc + _GOLDEN) & _U64

@@ -14,6 +14,8 @@ model.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -29,9 +31,16 @@ from .likelihood import (
     loss_and_grads,
     ssn_mc_loss,
 )
-from .lowrank import LowRankGaussian, Params, draw_noise, softplus_inv
+from .lowrank import (
+    LowRankGaussian,
+    Params,
+    draw_noise,
+    noise_rows,
+    reconstruct_samples,
+    softplus_inv,
+)
 from .metrics import SampleSet, ged_squared
-from .rng import PortableRng, _side_by_side, mix_seed
+from .rng import PortableRng, _side_by_side, check_seed, mix_seed
 
 TOY_LENGTH = 21
 _THIRD = TOY_LENGTH // 3
@@ -80,12 +89,14 @@ class TrainConfig:
     overflow_threshold: float = 1e4
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
-        if self.mc_samples < 1:
-            raise ValidationError(f"mc_samples must be >= 1, got {self.mc_samples}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("rank", 1), ("mc_samples", 1), ("iterations", 0),
+                            ("pretrain_iterations", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValidationError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        check_seed(self.seed)
         for name in ("learning_rate", "pretrain_learning_rate", "overflow_threshold"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -190,10 +201,13 @@ def _nll(model: LowRankGaussian, label_map: LabelMap, num_samples: int, seed: in
         return ssn_mc_loss(model, label_map, num_samples, seed).value
 
 
-def _thresholded_draw(model: LowRankGaussian, num_samples: int, seed: int):
+def _thresholded_draw(model: LowRankGaussian, rows: range, seed: int):
+    """The thresholded labels of ``model.sample(n, seed)``'s ``rows``. Any
+    block of two or more rows of the factor product equals the same rows of
+    the whole one to the bit, so these are the whole draw's labels."""
+    noise = noise_rows(rows, model.rank, model.dim, seed)
     with np.errstate(over="ignore"):  # an overflowed sample still thresholds
-        labels = labels_from_logits(model.sample(num_samples, seed)[0], 1)
-    return SampleSet(labels=labels, num_classes=1)  # the samples are freed
+        return labels_from_logits(reconstruct_samples(model, noise), 1)
 
 
 @dataclass(frozen=True)
@@ -216,14 +230,22 @@ def evaluate_toy(
 ) -> ToyEvalReport:
     """Estimate the NLL per map, the histogram of thresholded samples over
     distinct maps, sample diversity, and the distance to the true two-map
-    distribution. The two likelihood passes and the draw are independent,
-    so they run side by side when a second CPU is usable."""
+    distribution. The two likelihood passes and the draw's two row halves
+    are independent, so with a second CPU each core scores one map and then
+    draws one half; a draw of fewer than 4 samples stays whole, since a
+    one-row block of the factor product need not match the whole one."""
+    if n_samples < 1:
+        raise ValidationError(f"sample count must be >= 1, got {n_samples}")
     data = make_toy_dataset()
-    *nll_by_map, pred = _side_by_side(
+    half = n_samples // 2 if n_samples >= 4 else 0
+    draw_seed = mix_seed(seed, 0x5A3B)
+    *nll_by_map, low, high = _side_by_side(
         *(partial(_nll, model, label_map, n_lik_samples, mix_seed(seed, 0xE7A1, k))
           for k, label_map in enumerate(data.maps)),
-        partial(_thresholded_draw, model, n_samples, mix_seed(seed, 0x5A3B)),
+        partial(_thresholded_draw, model, range(half), draw_seed),
+        partial(_thresholded_draw, model, range(half, n_samples), draw_seed),
     )
+    pred = SampleSet(labels=np.concatenate([low, high]), num_classes=1)
     rows, weights = pred.distinct_rows()
     map1, map2 = (
         float(weights[np.all(rows == m.labels, axis=1)].sum()) for m in data.maps
@@ -243,7 +265,8 @@ def _run_sweep_cell(args: tuple[int, int, TrainConfig]) -> dict:
     rank, seed, config = args
     nan = float("nan")
     try:
-        cell = replace(config, rank=rank, seed=mix_seed(rank, seed))
+        cell = replace(config, rank=rank)  # a bad rank is named as one
+        cell = replace(cell, seed=mix_seed(rank, seed))
         report = train_toy(cell, covariance_mode="lowrank")
         evaluation = evaluate_toy(report.checkpoint, seed=cell.seed)
         values = (evaluation.nll_per_map, evaluation.diversity,

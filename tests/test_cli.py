@@ -30,6 +30,8 @@ from ssn_lab.cli import _train_config, build_parser, main
 REFERENCE_TRACE = (
     Path(__file__).resolve().parents[1] / "bench" / "reference" / "toy_loss_seed1.csv"
 )
+# The rank-2 model ``toy-train --seed 1`` writes at protocol defaults.
+PROTOCOL_MODEL = Path(__file__).resolve().parent / "data" / "toy_rank2_seed1.ssnt"
 
 # 10**16 rows or columns need 1.7-1.8 EB, more than any 64-bit machine maps
 # (at most 2**57 bytes) but under numpy's own size limit, so the allocation
@@ -766,6 +768,55 @@ class TestOneUsageErrorPath:
         assert len(lines) == 1 and lines[0].startswith(f"error: ssn-lab {command}")
         assert lines[0].endswith("expected a non-negative integer, got '-1'")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["toy-train", "toy-eval", "sample", "gradcheck"]
+    )
+    def test_seed_past_64_bits_is_rejected_by_every_command(
+        self, tmp_path, capsys, command
+    ):
+        """Seeds have one domain, [0, 2**64), in the CLI as in the library:
+        2**64 exits 2 with one ``error:`` line and writes no ``--out``, where
+        it once ran as seed 0 or as its full value, by command."""
+        argv = [command, "--seed", str(2**64)]
+        if command in ("toy-eval", "sample"):
+            argv += ["--model", str(PROTOCOL_MODEL)]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: ssn-lab {command}")
+        assert lines[0].endswith(f"seed must be < 2**64, got {2**64}")
+        assert not (tmp_path / "out").exists()
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_errors_leave_the_parser_as_it_was(self, tmp_path, capsys):
+        """A valid call after usage errors in the same process writes the
+        bytes it writes alone, from a fresh parser: a failed parse, also
+        one that set flags before its error, leaves no value behind."""
+
+        def run(out):
+            argv = ["toy-eval", "--model", str(PROTOCOL_MODEL), "--seed", "3",
+                    "--out", str(out)]
+            code = main(argv)
+            stdout = capsys.readouterr().out.replace(str(out), "<out>")
+            return code, stdout, {p.name: p.read_bytes() for p in out.iterdir()}
+
+        build_parser.cache_clear()
+        alone = run(tmp_path / "alone")
+        for argv in (
+            ["toy-eval", "--model", str(PROTOCOL_MODEL), "--samples", "50",
+             "--lik-samples", "60", "--seed", "-1"],
+            ["toy-eval", "--samples", "70", "--seed", "x"],
+            ["gradcheck", "--seed", "4", "--trials", "0"],
+            ["junk"],
+        ):
+            assert main(argv) == 2
+            assert_one_error_line(capsys)
+        assert run(tmp_path / "after") == alone
+        assert alone[0] == 0 and len(alone[2]) == 7
 
     @pytest.mark.parametrize(
         "argv", [["--help"], ["sample", "--help"]], ids=["top", "subcommand"]

@@ -24,6 +24,7 @@ from ssn_lab.lowrank import (
     draw_noise,
     effective_diag,
     effective_diag_inv,
+    noise_rows,
     reconstruct_samples,
 )
 from conftest import random_instance
@@ -177,6 +178,33 @@ class TestSampling:
         scale = np.sqrt(effective_diag(diag_raw))
         want = mean[None, :] + eps_factor @ factor.T + eps_diag * scale
         assert got.shape == (n, dim) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, rank, dim",
+        [(10_000, 2, 21), (10_001, 2, 21), (4, 2, 21), (5, 2, 21), (20, 10, 32_768)],
+        ids=["toy-even", "toy-odd", "toy-4", "toy-5", "paper-size"],
+    )
+    def test_row_blocks_equal_the_whole_draw(self, n, rank, dim):
+        """Rows ``[a, b)`` with ``b - a >= 2``, drawn from the seed's stream
+        advanced past the rows before them and reconstructed alone, are the
+        same rows of one whole draw to the bit: the product's row blocks of
+        two or more match the whole product, so toy evaluation may draw its
+        two row halves apart."""
+        rng = PortableRng(n + dim)
+        params = Params(rng.standard_normal(dim), rng.standard_normal((dim, rank)),
+                        rng.standard_normal(dim))
+        whole_noise = draw_noise(n, rank, dim, seed=7)
+        whole = reconstruct_samples(params, whole_noise)
+        half, third = n // 2, n // 3
+        blocks = {(0, half), (half, n), (0, 2), (n - 2, n), (1, 3), (2, 5),
+                  (third, min(n, third + 33)), (1, n - 1)}
+        for a, b in sorted(block for block in blocks if block[1] <= n):
+            assert b - a >= 2
+            noise = noise_rows(range(a, b), rank, dim, seed=7)
+            assert noise.eps_factor.tobytes() == whole_noise.eps_factor[a:b].tobytes()
+            assert noise.eps_diag.tobytes() == whole_noise.eps_diag[a:b].tobytes()
+            got = reconstruct_samples(params, noise)
+            assert got.tobytes() == whole[a:b].tobytes(), (a, b)
 
     def test_rank_one_factor_induces_near_perfect_correlation(self):
         dist = LowRankGaussian(

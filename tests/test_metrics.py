@@ -333,6 +333,14 @@ class TestMarginalEntropy:
         with pytest.raises(ValidationError):
             marginal_entropy([np.array([[0.5, 0.4]])])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_probabilities_rejected(self, value):
+        """A range check is false for nan, so finiteness is checked first."""
+        with pytest.raises(ValidationError, match="finite"):
+            marginal_entropy([np.full((3, 2), value)])
+        with pytest.raises(ValidationError, match="finite"):
+            marginal_entropy([np.array([0.5, value])])
+
     def test_bounds_on_random_inputs(self):
         rng = PortableRng(8)
         for _ in range(10):

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import ndtri
 
 import ssn_lab
-from ssn_lab import PortableRng, rng as rng_module
+from ssn_lab import PortableRng, ValidationError, mix_seed, rng as rng_module
 
 SMALL_CHUNK = 7
 SMALL_SPLIT = 40
@@ -103,6 +103,34 @@ def test_split_draw_continues_the_stream(small_thresholds, size, buffered):
     assert split.uniform_open(3).tobytes() == ((k + 0.5) * 2.0**-53).tobytes()
     assert split.draw_seed() == int(serial.integers(0, 2**63, dtype=np.int64))
     assert split.integers(0, 2, 9).tolist() == serial.integers(0, 2, 9).tolist()
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 3 * SMALL_CHUNK + 1])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_advance_continues_as_a_draw(small_thresholds, count, buffered):
+    """Advancing past ``count`` variates leaves the stream where drawing
+    them leaves it, a buffered 32-bit output included."""
+    ahead, serial = PortableRng(23), PortableRng(23)
+    if buffered:
+        assert ahead.integers(0, 2) == serial.integers(0, 2)
+    ahead.advance(count)
+    serial.standard_normal(count)
+    assert ahead.standard_normal(9).tobytes() == serial.standard_normal(9).tobytes()
+    assert ahead.integers(0, 2, 9).tolist() == serial.integers(0, 2, 9).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_outside_the_domain_is_rejected(seed):
+    """One seed domain, [0, 2**64): no seed past it aliases its low bits."""
+    with pytest.raises(ValidationError, match="seed must be"):
+        PortableRng(seed)
+    with pytest.raises(ValidationError, match="seed must be"):
+        mix_seed(1, seed)
+
+
+def test_seed_domain_ends_are_accepted():
+    assert PortableRng(2**64 - 1).seed == 2**64 - 1
+    assert len({mix_seed(0), mix_seed(2**64 - 1), mix_seed(1, 2**64 - 1)}) == 3
 
 
 def test_one_cpu_keeps_the_draw_on_the_calling_thread(small_thresholds, monkeypatch):

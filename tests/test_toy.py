@@ -3,6 +3,7 @@ import os
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import logsumexp
 
+import ssn_lab.rng
 import ssn_lab.toy
 from ssn_lab import (
     DIAG_FLOOR,
@@ -184,11 +186,28 @@ class TestTraining:
             dict(overflow_threshold=float("inf")),
             dict(overflow_threshold=float("nan")),
             dict(seed=-1),
+            dict(seed=2**64),
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValidationError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, least",
+        [("rank", 1), ("mc_samples", 1), ("iterations", 0),
+         ("pretrain_iterations", 0), ("seed", 0)],
+    )
+    def test_counts_are_integers_in_range(self, field, least):
+        """Each count rejects a value below its least, a non-integral value
+        and a float holding an integer; a numpy integer gives the same
+        config as the Python one."""
+        for value in (least - 1, least + 0.5, float(least + 1), "2"):
+            with pytest.raises(ValidationError, match=field):
+                TrainConfig(**{field: value})
+        config = TrainConfig(**{field: np.int64(least + 2)})
+        assert config == TrainConfig(**{field: least + 2})
+        assert type(getattr(config, field)) is int
 
 
 class TestEvaluation:
@@ -361,7 +380,9 @@ class TestEvaluationPasses:
     CPU, and the report must be the serial one's to the bit."""
 
     @pytest.mark.parametrize("n_samples, n_lik_samples, seed",
-                             [(3000, 3000, 11), (10_000, 10_000, 5), (1, 1, 0)])
+                             [(3000, 3000, 11), (10_000, 10_000, 5), (1, 1, 0),
+                              (2, 50, 1), (3, 50, 2), (4, 50, 3), (5, 50, 4),
+                              (10_001, 500, 6)])
     def test_report_equals_serial_passes(self, affinity, n_samples, n_lik_samples,
                                          seed):
         model = spread_model()
@@ -404,6 +425,27 @@ class TestEvaluationPasses:
             evaluate_toy(spread_model(), n_samples=10, n_lik_samples=10, seed=3)
         assert threading.active_count() == threads
         assert raised != "map 1" or "draw" not in started
+
+    def test_one_pool_per_evaluation(self, affinity, monkeypatch):
+        """With a second CPU the four passes share one one-thread pool,
+        shut down before the call returns; with one CPU there is none."""
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(ssn_lab.rng, "ThreadPoolExecutor", RecordingPool)
+        threads = threading.active_count()
+        evaluate_toy(spread_model(), n_samples=100, n_lik_samples=100, seed=1)
+        assert threading.active_count() == threads
+        assert pools == ([] if len(os.sched_getaffinity(0)) < 2 else [1])
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_sample_count_validated(self, n_samples):
+        with pytest.raises(ValidationError, match="sample count must be >= 1"):
+            evaluate_toy(spread_model(), n_samples=n_samples, n_lik_samples=10)
 
     @pytest.mark.parametrize("delay", [0.0, 0.2], ids=["prompt", "late"])
     def test_overflowing_model_raises_quietly(self, affinity, capfd, monkeypatch,
@@ -455,6 +497,19 @@ class TestRankSweep:
         assert (failed[0]["seed"], failed[0]["stop_reason"]) == (1, "")
         assert all(np.isnan(failed[0][key]) for key in ("nll", "diversity", "ged2"))
         assert [row["status"] for row in rows if row["rank"] == 1] == ["ok"]
+
+    def test_bad_rank_and_seed_are_named(self):
+        """A negative rank fails its cell as a rank, before it is mixed into
+        the cell's seed; a seed outside [0, 2**64) fails as a seed, where it
+        once aliased its low 64 bits."""
+        config = TrainConfig(pretrain_iterations=5, iterations=5, mc_samples=5)
+        rows = rank_sweep([-1], [1], config=config) + rank_sweep([1], [-1, 2**64],
+                                                                 config=config)
+        assert [row["status"] for row in rows] == [
+            "error: rank must be an integer >= 1, got -1",
+            "error: seed must be >= 0, got -1",
+            f"error: seed must be < 2**64, got {2**64}",
+        ]
 
     def test_cell_scores_each_map_once_at_full_size(self, monkeypatch):
         """A cell's NLL is its evaluation's: one 10 000-sample pass per map

@@ -1,5 +1,5 @@
-"""Byte identity of two commits' outputs under one and two CPUs and one and
-two BLAS threads.
+"""Byte identity of two commits' outputs under one and two CPUs, one and two
+BLAS threads, and two numpy SIMD dispatch levels.
 
 Run from the root of a checkout:
 
@@ -8,7 +8,13 @@ Run from the root of a checkout:
 Each side is a git revision, exported with ``git archive``, or a directory
 holding a source tree. Every job runs in its own subprocess with that side's
 ``src`` on ``PYTHONPATH``, once per environment: ``taskset`` to CPU 0 or to
-CPUs 0 and 1, crossed with ``OPENBLAS_NUM_THREADS`` 1 and 2. The jobs:
+CPUs 0 and 1, crossed with ``OPENBLAS_NUM_THREADS`` 1 and 2, crossed with
+numpy's dispatch level. At the ``default`` level numpy picks its kernels for
+the host's CPU; at ``avx2`` the child's ``NPY_DISABLE_CPU_FEATURES`` turns
+off numpy's AVX-512 kernels (``AVX512_SPR AVX512_ICL X86_V4``), as on a host
+without AVX-512. The variable is set in the child processes only. numpy's
+``exp``, ``log``, ``log1p`` and ``expm1`` give other bits at the two levels,
+so outputs are compared within a level. The jobs:
 
 - ``toy-train --seed 1 --pretrain-iters 200 --iters 3000``, and the same
   run in ``--mode diagonal`` at ``--iters 800``;
@@ -29,9 +35,10 @@ CPUs 0 and 1, crossed with ``OPENBLAS_NUM_THREADS`` 1 and 2. The jobs:
 - ``gradcheck --trials 50 --seed 1``.
 
 Every output file and every job's stdout (with the run's directory masked)
-gets one SHA-256. The script prints one line per artifact, the digest if all
-runs agree and every digest otherwise, then a verdict; it exits 0 when every
-artifact is identical across both sides and all environments.
+gets one SHA-256. The script prints one line per artifact: the digest if all
+runs agree, one digest per level if the runs agree within each level, and
+every digest otherwise. Then it prints a verdict; it exits 0 when every
+artifact is identical across both sides and all environments of a level.
 """
 
 from __future__ import annotations
@@ -44,8 +51,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+# numpy's dispatch level: the value of NPY_DISABLE_CPU_FEATURES, if any.
+LEVELS = {"default": None, "avx2": "AVX512_SPR AVX512_ICL X86_V4"}
 ENVIRONMENTS = {
-    f"cpus={cpus} blas={blas}": (["taskset", "-c", cpus], blas)
+    f"simd={level} cpus={cpus} blas={blas}": (level, ["taskset", "-c", cpus], blas)
+    for level in LEVELS
     for cpus in ("0", "0,1")
     for blas in ("1", "2")
 }
@@ -192,10 +202,14 @@ def export(side: str, into: Path) -> Path:
     return into
 
 
-def run_side(root: Path, work: Path, prefix: list[str], blas: str) -> dict[str, str]:
+def run_side(root: Path, work: Path, level: str, prefix: list[str],
+             blas: str) -> dict[str, str]:
     """SHA-256 per artifact of one side in one environment."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"),
            "OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": blas}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if LEVELS[level] is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = LEVELS[level]
     work.mkdir(parents=True)
     digests = {}
     for name, argv in jobs(work):
@@ -218,28 +232,36 @@ def main(argv=None) -> int:
     parser.add_argument("--head", default="HEAD", help="git revision or directory")
     args = parser.parse_args(argv)
     runs: dict[str, dict[str, str]] = {}
+    levels: dict[str, str] = {}  # run label -> its dispatch level
     with tempfile.TemporaryDirectory(prefix="byte-identity-") as temp:
         temp = Path(temp)
         roots = {side: export(rev, temp / side / "tree")
                  for side, rev in (("base", args.base), ("head", args.head))}
-        for label, (prefix, blas) in ENVIRONMENTS.items():
+        for label, (level, prefix, blas) in ENVIRONMENTS.items():
             for side, root in roots.items():
                 work = temp / side / label.replace(" ", "_").replace("=", "-")
-                runs[f"{side} {label}"] = run_side(root, work, prefix, blas)
+                runs[f"{side} {label}"] = run_side(root, work, level, prefix, blas)
+                levels[f"{side} {label}"] = level
                 print(f"ran {side} {label}", file=sys.stderr)
     artifacts = sorted(set().union(*runs.values()))
-    differ = 0
+    differ = split = 0
     for artifact in artifacts:
-        seen = {run.get(artifact, "missing") for run in runs.values()}
-        if len(seen) == 1:
-            print(f"{artifact} {seen.pop()}")
-            continue
-        differ += 1
-        print(f"{artifact} DIFFERS")
-        for label, run in runs.items():
-            print(f"  {label}: {run.get(artifact, 'missing')}")
+        by_level = {level: {run.get(artifact, "missing") for label, run in runs.items()
+                            if levels[label] == level} for level in LEVELS}
+        if any(len(seen) > 1 for seen in by_level.values()):
+            differ += 1
+            print(f"{artifact} DIFFERS")
+            for label, run in runs.items():
+                print(f"  {label}: {run.get(artifact, 'missing')}")
+        elif len(set().union(*by_level.values())) == 1:
+            print(f"{artifact} {by_level['default'].pop()}")
+        else:
+            split += 1
+            print(f"{artifact} per level: " + " ".join(
+                f"{level}={seen.pop()}" for level, seen in by_level.items()))
     verdict = "identical" if not differ else f"{differ} artifacts differ"
-    print(f"verdict: {verdict} ({len(artifacts)} artifacts, {len(runs)} runs)")
+    print(f"verdict: {verdict} ({len(artifacts)} artifacts, {len(runs)} runs; "
+          f"{split} differ between dispatch levels)")
     return 0 if not differ else 1
 
 
