@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, check_count
 from .likelihood import LabelMap, labels_from_logits
 from .lowrank import LowRankGaussian, Params, effective_diag_inv
 
@@ -55,6 +55,8 @@ class PatchedParams:
     def __post_init__(self):
         if not self.patches:
             raise ValidationError("need at least one patch")
+        for name in ("num_classes", "rank"):
+            object.__setattr__(self, name, check_count(getattr(self, name), 1, name))
         for patch in self.patches:
             if len(patch.offset) != len(self.full_shape) or len(patch.shape) != len(
                 self.full_shape
@@ -63,6 +65,9 @@ class PatchedParams:
                     f"patch offset {patch.offset} / shape {patch.shape} do not "
                     f"match a {len(self.full_shape)}-d image"
                 )
+            for start, extent in zip(patch.offset, patch.shape):
+                check_count(start, 0, "patch offset")
+                check_count(extent, 1, "patch extent")
             shapes = Params.shapes(patch.num_pixels * self.num_classes, self.rank)
             for name, shape in shapes._asdict().items():
                 got = np.shape(getattr(patch, name))
@@ -74,7 +79,7 @@ class PatchedParams:
             for axis, (start, extent, full) in enumerate(
                 zip(patch.offset, patch.shape, self.full_shape)
             ):
-                if start < 0 or extent < 1 or start + extent > full:
+                if start + extent > check_count(full, 1, "image extent"):
                     raise ValidationError(
                         f"patch at {patch.offset} with shape {patch.shape} leaves "
                         f"the image of shape {self.full_shape} on axis {axis}"

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check_count``: the one
+integer rule for every count, dimension, seed and label the package takes."""
+
+import numbers
+import operator
 
 
 class ShapeError(ValueError):
@@ -26,3 +30,12 @@ class OverflowSignal(ArithmeticError):
 
 class DivergenceError(RuntimeError):
     """Deterministic mean pre-training diverged; indicates a bad learning rate."""
+
+
+def check_count(value, least: int, what: str) -> int:
+    """``value`` as an ``int`` of at least ``least``. Python and numpy
+    integers pass; bools, floats (``2.0`` too) and strings do not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return operator.index(value)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import OverflowSignal, ShapeError, ValidationError
+from .errors import OverflowSignal, ShapeError, ValidationError, check_count
 from .lowrank import (
     _BLOCK,
     LowRankGaussian,
@@ -31,19 +31,24 @@ from .lowrank import (
 from .rng import PortableRng, mix_seed
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    """Raise unless ``labels`` lie in ``[0, max(num_classes, 2))`` for a class
-    count of at least 1."""
-    if num_classes is None or num_classes < 1:
-        raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
+def _check_labels(labels, num_classes) -> tuple[np.ndarray, int]:
+    """``labels`` as int64 (itself if it is already) and ``num_classes`` as an
+    int; raises unless the labels have an integer type and lie in
+    ``[0, max(num_classes, 2))`` for a class count of at least 1."""
+    num_classes = check_count(num_classes, 1, "num_classes")
     if num_classes > 2**63:  # int64 labels cannot reach further classes
         raise ValidationError(f"num_classes must be <= 2**63, got {num_classes}")
+    labels = np.asarray(labels)
+    # numpy types an empty list as float64; it holds no label to truncate.
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
     limit = max(num_classes, 2)
     if labels.size and (labels.min() < 0 or labels.max() >= limit):
         raise ValidationError(
             f"labels must lie in [0, {limit}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
+    return labels.astype(np.int64, copy=False), num_classes
 
 
 @dataclass(frozen=True)
@@ -60,11 +65,11 @@ class LabelMap:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
-        _check_labels(labels, self.num_classes)
+        labels, num_classes = _check_labels(np.array(self.labels), self.num_classes)
         labels.setflags(write=False)
         labels = labels.reshape(-1)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "num_classes", num_classes)
         if self.mask is not None:
             mask = np.array(self.mask, dtype=bool, copy=True).reshape(-1)
             if mask.shape != labels.shape:
@@ -89,6 +94,7 @@ def labels_from_logits(logit_rows, num_classes: int, threshold: float = 0.0):
     logit rows: a single logit is labelled 1 above ``threshold`` (a tie goes
     to background); two or more classes take the per-pixel argmax, the first
     class winning a tie."""
+    num_classes = check_count(num_classes, 1, "num_classes")
     if num_classes == 1:
         return (logit_rows > threshold).astype(np.int64)
     n, dim = logit_rows.shape
@@ -274,8 +280,7 @@ def ssn_mc_loss(
     first ``grad_ssn_mc_loss`` on them with this same ``dist`` and
     ``labels`` reuses this forward pass.
     """
-    if num_samples < 1:
-        raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
+    num_samples = check_count(num_samples, 1, "num_samples")
     _check_pair(dist, labels)
     noise = draw_noise(num_samples, dist.rank, dist.dim, rng_seed)
     value, loglik, weights, block = _mc_forward(dist, labels, noise)
@@ -371,6 +376,7 @@ def gradient_check_suite(trials: int, seed: int) -> GradCheckResult:
     A coordinate passes when `|analytic - numeric|` is within
     ``max(_ABS_FLOOR, _REL_TOL * max(|analytic|, |numeric|))``.
     """
+    trials = check_count(trials, 1, "trials")
     failures = 0
     max_rel = 0.0
     worst = -1
@@ -382,9 +388,7 @@ def gradient_check_suite(trials: int, seed: int) -> GradCheckResult:
         num_samples = int(rng.integers(1, 6))
         shapes = Params.shapes(num_pixels * num_classes, rank)
         params = Params(*(rng.standard_normal(shape) for shape in shapes))
-        labels_arr = np.asarray(
-            rng.integers(0, max(num_classes, 2), size=num_pixels), dtype=np.int64
-        )
+        labels_arr = rng.integers(0, max(num_classes, 2), size=num_pixels)
         mask = None
         if int(rng.integers(0, 3)) == 0:
             mask = np.asarray(rng.integers(0, 2, size=num_pixels), dtype=bool)

@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, SizeGuardError, ValidationError
+from .errors import (NumericalError, ShapeError, SizeGuardError, ValidationError,
+                     check_count)
 from .rng import PortableRng
 
 DIAG_FLOOR = 1e-5
@@ -110,11 +111,8 @@ class LowRankGaussian:
     rank: int
 
     def __post_init__(self):
-        if self.num_pixels < 1 or self.num_classes < 1 or self.rank < 1:
-            raise ValidationError(
-                "num_pixels, num_classes and rank must all be at least 1, got "
-                f"({self.num_pixels}, {self.num_classes}, {self.rank})"
-            )
+        for name in ("num_pixels", "num_classes", "rank"):
+            object.__setattr__(self, name, check_count(getattr(self, name), 1, name))
         for name, shape in Params.shapes(self.dim, self.rank)._asdict().items():
             value = getattr(self, name)
             value = np.array(value, dtype=np.float64, order="C", copy=True)
@@ -141,8 +139,7 @@ class LowRankGaussian:
         diagonal variates; samples consume the stream in order. Returns the
         ``[n, dim]`` sample matrix and the noise behind it.
         """
-        if n < 1:
-            raise ValidationError(f"sample count must be >= 1, got {n}")
+        n = check_count(n, 1, "sample count")
         noise = draw_noise(n, self.rank, self.dim, seed)
         return reconstruct_samples(self, noise), noise
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, check_count
 from .likelihood import LabelMap, _check_labels, _check_pair
 
 _EXACT_F32_COUNT = 1 << 24  # float32 counts every integer up to here exactly
@@ -48,15 +48,14 @@ class SampleSet:
             labels = [sample.labels for sample in samples]  # each range-checked
             num_classes = samples[0].num_classes
         else:
-            labels = np.asarray(labels, dtype=np.int64)
-            _check_labels(labels, num_classes)
+            labels, num_classes = _check_labels(labels, num_classes)
         labels = np.array(labels, dtype=np.min_scalar_type(max(num_classes, 2) - 1))
         if labels.ndim != 2 or len(labels) == 0:
             raise ShapeError(f"labels must be [n >= 1, pixels], not {labels.shape}")
         self._labels = labels
         self._samples = samples
         self._distinct = None
-        self.num_classes = int(num_classes)
+        self.num_classes = num_classes
 
     def __len__(self) -> int:
         return self._labels.shape[0]
@@ -234,6 +233,7 @@ def dsc(pred: LabelMap, gt: LabelMap, cls: int) -> float | None:
     entries are excluded from averages rather than scored as 1.
     """
     _check_pair(pred, gt)
+    cls = check_count(cls, 0, "cls")
     score, defined = _dice(pred.labels, gt.labels[None, :], cls)
     return float(score[0]) if defined[0] else None
 

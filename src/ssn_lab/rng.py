@@ -21,7 +21,7 @@ from contextvars import copy_context
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -63,7 +63,7 @@ class PortableRng:
     def advance(self, count: int) -> None:
         """Move past ``count`` variates: the stream continues exactly as after
         a draw of that many normals."""
-        self._bits = _advanced(self._bits, count)
+        self._bits = _advanced(self._bits, check_count(count, 0, "count"))
 
     def integers(self, low: int, high: int, size=None):
         return self._bits.integers(low, high, size=size)
@@ -75,33 +75,18 @@ class PortableRng:
 
 def _side_by_side(*passes) -> list:
     """The results of the independent zero-argument ``passes``, in order. With
-    a second CPU in this process's affinity (the load is not read), the calling
-    thread runs the passes at even positions and a one-thread pool, shut down
-    on return, runs those at odd positions in copies of the caller's context
-    (numpy's error state). A failure raises what a serial run would: the
-    first in the passes' order, once every pass before it is done, and the
-    calling thread starts nothing after its own failure."""
+    a second CPU in this process's affinity (the load is not read), a
+    one-thread pool, shut down on return, runs the passes at odd positions in
+    copies of the caller's context (numpy's error state), and the calling
+    thread runs each even pass once it holds every result before it. A
+    failure thus raises what a serial run would: the first in that order."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return [run() for run in passes]
     pool = ThreadPoolExecutor(1)
     try:
         theirs = [pool.submit(copy_context().run, run) for run in passes[1::2]]
-        mine, failure = [], None
-        for run in passes[::2]:
-            try:
-                mine.append(run())
-            except Exception as err:  # raised after the pool's passes before it
-                failure = err
-                break
-        results = []
-        for index in range(len(passes)):
-            if index % 2:
-                results.append(theirs[index // 2].result())
-            elif index // 2 < len(mine):
-                results.append(mine[index // 2])
-            else:
-                raise failure
-        return results
+        return [theirs[index // 2].result() if index % 2 else run()
+                for index, run in enumerate(passes)]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -132,10 +117,9 @@ def _fill_normal(bits: np.random.Generator, out: np.ndarray) -> None:
 
 def check_seed(seed) -> int:
     """``seed`` as an integer in the one seed domain, [0, 2**64)."""
-    value = int(seed)
-    if not 0 <= value <= _U64:
-        bound = ">= 0" if value < 0 else "< 2**64"
-        raise ValidationError(f"seed must be {bound}, got {value}")
+    value = check_count(seed, 0, "seed")
+    if value > _U64:
+        raise ValidationError(f"seed must be < 2**64, got {value}")
     return value
 
 

@@ -14,8 +14,6 @@ model.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -23,7 +21,7 @@ from functools import partial
 import numpy as np
 from scipy.special import expit
 
-from .errors import DivergenceError, OverflowSignal, ValidationError
+from .errors import DivergenceError, OverflowSignal, ValidationError, check_count
 from .likelihood import (
     LabelMap,
     cross_entropy_loss,
@@ -90,13 +88,10 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, least in (("rank", 1), ("mc_samples", 1), ("iterations", 0),
-                            ("pretrain_iterations", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise ValidationError(
-                    f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
-        check_seed(self.seed)
+                            ("pretrain_iterations", 0)):
+            value = check_count(getattr(self, name), least, name)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         for name in ("learning_rate", "pretrain_learning_rate", "overflow_threshold"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -234,8 +229,7 @@ def evaluate_toy(
     are independent, so with a second CPU each core scores one map and then
     draws one half; a draw of fewer than 4 samples stays whole, since a
     one-row block of the factor product need not match the whole one."""
-    if n_samples < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n_samples}")
+    n_samples = check_count(n_samples, 1, "sample count")
     data = make_toy_dataset()
     half = n_samples // 2 if n_samples >= 4 else 0
     draw_seed = mix_seed(seed, 0x5A3B)
@@ -291,6 +285,7 @@ def rank_sweep(
     """
     if not ranks or not seeds:
         raise ValidationError("ranks and seeds must be non-empty")
+    jobs = check_count(jobs, 1, "jobs")
     base = config if config is not None else TrainConfig()
     cells = [(rank, seed, base) for rank in ranks for seed in seeds]
     if jobs > 1:

@@ -262,8 +262,10 @@ class TestStitch:
     @pytest.mark.parametrize(
         "offset, shape, mean_size, error",
         [((4,), (3,), 3, ValidationError), ((-1,), (2,), 2, ValidationError),
-         ((0,), (0,), 0, ValidationError), ((4,), (3,), 4, ShapeError)],
-        ids=["past-the-end", "negative-offset", "empty", "shape-error-first"],
+         ((0,), (0,), 0, ValidationError), ((4,), (3,), 4, ShapeError),
+         ((0,), (2.0,), 2, ValidationError)],
+        ids=["past-the-end", "negative-offset", "empty", "shape-error-first",
+             "fractional-extent"],
     )
     def test_patch_outside_image_rejected_on_construction(
         self, offset, shape, mean_size, error

@@ -177,6 +177,14 @@ class TestLabelMapFiles:
         formats.save_label_map(second, loaded, shape=shape)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_numpy_class_count_saves_as_an_int(self, tmp_path):
+        """``num_classes`` is stored as an int: a numpy one once made
+        ``save_label_map`` fail on JSON."""
+        label_map = LabelMap(labels=np.array([1, 0]), num_classes=np.int64(2))
+        assert type(label_map.num_classes) is int
+        formats.save_label_map(tmp_path / "map.json", label_map)
+        assert formats.load_label_map(tmp_path / "map.json")[0].num_classes == 2
+
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "map.json"
         path.write_text(

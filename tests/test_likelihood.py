@@ -59,6 +59,18 @@ class TestLabelLogLikelihood:
         with pytest.raises(ValidationError):
             LabelMap(labels=np.array([3]), num_classes=3)
 
+    @pytest.mark.parametrize(
+        "labels, num_classes",
+        [([0, 1], "2"), ([0, 1], 2.0), ([0, 1], True), ([0.5, 1.0], 1),
+         (np.array([0.0, 1.0]), 2), (np.array([True, False]), 1)],
+    )
+    def test_labels_and_class_count_must_be_integers(self, labels, num_classes):
+        """Nothing is coerced: ``[0.5, 1.0]`` once held ``[0, 1]``, and
+        ``num_classes="2"`` raised a raw ``TypeError``."""
+        with pytest.raises(ValidationError) as caught:
+            LabelMap(labels=labels, num_classes=num_classes)
+        assert type(caught.value) is ValidationError
+
     def test_masked_pixels_skipped(self):
         full = label_log_likelihood([1.0, -4.0], toy_binary([1, 1]))
         masked = label_log_likelihood(
@@ -136,6 +148,12 @@ class TestLabelsFromLogits:
             assert np.array_equal(got, sampled)
             mode = np.argmax(rows[0].reshape(pixels, num_classes), axis=1)
         assert np.array_equal(labels_from_logits(rows[:1], num_classes)[0], mode)
+
+    @pytest.mark.parametrize("num_classes", [0, 2.0, True, "2"])
+    def test_class_count_must_be_an_integer(self, num_classes):
+        """``True`` once thresholded as one logit, ``0`` divided by zero."""
+        with pytest.raises(ValidationError, match="num_classes must be an integer"):
+            labels_from_logits(np.zeros((2, 4)), num_classes)
 
     def test_tie_at_the_threshold_is_background(self):
         rows = np.array([[0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]])
@@ -228,10 +246,19 @@ class TestMcLoss:
         with pytest.raises(ShapeError):
             ssn_mc_loss(dist, labels, 2, rng_seed=0)
 
+    @pytest.mark.parametrize("num_samples", [0, True, 2.5, "2"])
+    def test_sample_count_must_be_an_integer(self, num_samples):
+        """``True`` once scored one sample, and ``2.5`` raised a raw
+        ``TypeError``."""
+        dist = random_instance(0)
+        labels = random_labels(0, dist.num_pixels, dist.num_classes)
+        with pytest.raises(ValidationError, match="num_samples must be an integer"):
+            ssn_mc_loss(dist, labels, num_samples, rng_seed=0)
+
     def test_negative_seed_rejected(self):
         dist = random_instance(0)
         labels = random_labels(0, dist.num_pixels, dist.num_classes)
-        with pytest.raises(ValidationError, match="seed must be >= 0"):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
             ssn_mc_loss(dist, labels, 2, rng_seed=-1)
 
 
@@ -1017,6 +1044,12 @@ class TestFiniteDifferences:
             trials=20, failures=failures, max_rel_error=2.811922452076065e-08,
             worst_trial=9,
         )
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.5])
+    def test_gradient_check_suite_trial_count_validated(self, trials):
+        """``trials=-1`` once returned a passing result of -1 trials."""
+        with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
+            gradient_check_suite(trials, 1)
 
     def test_gradient_check_suite_draws_one_to_three_classes(self, monkeypatch):
         import ssn_lab.likelihood as likelihood

@@ -17,7 +17,7 @@ from ssn_lab import (
     softplus,
     softplus_inv,
 )
-from ssn_lab import lowrank
+from ssn_lab import formats, lowrank
 from ssn_lab.lowrank import (
     DENSE_SIZE_GUARD,
     _capacitance_cholesky,
@@ -88,6 +88,25 @@ class TestConstruction:
         message = str(caught.value)
         assert f"{name} has shape {bad[name]}" in message
         assert all(other not in message for other in names if other != name)
+
+    @pytest.mark.parametrize("name", ["num_pixels", "num_classes", "rank"])
+    def test_dimensions_are_integers(self, name, tmp_path):
+        """A dimension of 2.0 is rejected like other non-integers: it once
+        saved as ``2.0`` and reloaded as ``2``, so save -> load -> save
+        changed bytes. A numpy integer is stored as an int, where it once
+        made ``save_distribution`` fail on JSON."""
+        dims = {"num_pixels": 2, "num_classes": 2, "rank": 2}
+        tensors = {"mean": np.zeros(4), "factor": np.ones((4, 2)),
+                   "diag_raw": np.zeros(4)}
+        for value in (2.0, 2.5, True, "2", 0):
+            with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+                LowRankGaussian(**tensors, **{**dims, name: value})
+        dist = LowRankGaussian(**tensors, **{**dims, name: np.int64(2)})
+        assert type(getattr(dist, name)) is int
+        first, second = tmp_path / "a.ssnt", tmp_path / "b.ssnt"
+        formats.save_distribution(first, dist)
+        formats.save_distribution(second, formats.load_distribution(first))
+        assert first.read_bytes() == second.read_bytes()
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
@@ -228,9 +247,9 @@ class TestSampling:
         assert np.array_equal(noise_a.eps_diag, noise_b.eps_diag)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValidationError, match="seed must be >= 0"):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
             PortableRng(-1)
-        with pytest.raises(ValidationError, match="seed must be >= 0"):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
             random_instance(0).sample(2, -1)
 
     def test_noise_draw_shapes(self):

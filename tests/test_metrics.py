@@ -195,6 +195,14 @@ class TestDsc:
         a = binary_map([0, 0, 0])
         assert dsc(a, a, 1) is None
 
+    @pytest.mark.parametrize("cls", [-1, 1.0, True, "1"])
+    def test_class_must_be_an_integer(self, cls):
+        """``1.0`` and ``True`` once scored class 1; ``"1"`` and ``-1`` gave
+        an undefined score."""
+        a = binary_map([1, 1, 0])
+        with pytest.raises(ValidationError, match="cls must be an integer >= 0"):
+            dsc(a, a, cls)
+
     def test_hand_counted_overlap(self):
         pred = binary_map([1] * 7 + [0] * 14)
         gt = binary_map([1] * 14 + [0] * 7)
@@ -390,7 +398,8 @@ class TestSampleSet:
 
     @pytest.mark.parametrize(
         "labels, num_classes",
-        [([[0, -1]], 1), ([[0, 2]], 1), ([[3, 0]], 3), ([[0, 256]], 256)],
+        [([[0, -1]], 1), ([[0, 2]], 1), ([[3, 0]], 3), ([[0, 256]], 256),
+         ([[0.5, 1.0]], 1)],
     )
     def test_out_of_range_label_rejected(self, labels, num_classes):
         with pytest.raises(ValidationError):

@@ -119,9 +119,17 @@ def test_advance_continues_as_a_draw(small_thresholds, count, buffered):
     assert ahead.integers(0, 2, 9).tolist() == serial.integers(0, 2, 9).tolist()
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+@pytest.mark.parametrize("count", [-1, 2.5, True])
+def test_advance_count_validated(count):
+    """A negative count once moved the stream back."""
+    with pytest.raises(ValidationError, match="count must be an integer >= 0"):
+        PortableRng(1).advance(count)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5])
 def test_seed_outside_the_domain_is_rejected(seed):
-    """One seed domain, [0, 2**64): no seed past it aliases its low bits."""
+    """One seed domain, the integers in [0, 2**64): no seed past it aliases
+    its low bits, and no fraction is truncated to one."""
     with pytest.raises(ValidationError, match="seed must be"):
         PortableRng(seed)
     with pytest.raises(ValidationError, match="seed must be"):

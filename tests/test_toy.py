@@ -199,10 +199,10 @@ class TestTraining:
          ("pretrain_iterations", 0), ("seed", 0)],
     )
     def test_counts_are_integers_in_range(self, field, least):
-        """Each count rejects a value below its least, a non-integral value
-        and a float holding an integer; a numpy integer gives the same
-        config as the Python one."""
-        for value in (least - 1, least + 0.5, float(least + 1), "2"):
+        """Each count rejects a value below its least, a non-integral value,
+        a float holding an integer, a string and a bool; a numpy integer
+        gives the same config as the Python one."""
+        for value in (least - 1, least + 0.5, float(least + 1), "2", True):
             with pytest.raises(ValidationError, match=field):
                 TrainConfig(**{field: value})
         config = TrainConfig(**{field: np.int64(least + 2)})
@@ -442,9 +442,10 @@ class TestEvaluationPasses:
         assert threading.active_count() == threads
         assert pools == ([] if len(os.sched_getaffinity(0)) < 2 else [1])
 
-    @pytest.mark.parametrize("n_samples", [0, -3])
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5])
     def test_sample_count_validated(self, n_samples):
-        with pytest.raises(ValidationError, match="sample count must be >= 1"):
+        with pytest.raises(ValidationError,
+                           match="sample count must be an integer >= 1"):
             evaluate_toy(spread_model(), n_samples=n_samples, n_lik_samples=10)
 
     @pytest.mark.parametrize("delay", [0.0, 0.2], ids=["prompt", "late"])
@@ -475,6 +476,12 @@ class TestEvaluationPasses:
 
 
 class TestRankSweep:
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
+    def test_job_count_validated(self, jobs):
+        """``jobs=0`` once ran the sweep without complaint."""
+        with pytest.raises(ValidationError, match="jobs must be an integer >= 1"):
+            rank_sweep([1], [1], config=TrainConfig(**QUICK), jobs=jobs)
+
     def test_grid_runs_and_echoes_ranks(self):
         config = TrainConfig(**QUICK)
         rows = rank_sweep([1, 2], [1], config=config)
@@ -507,7 +514,7 @@ class TestRankSweep:
                                                                  config=config)
         assert [row["status"] for row in rows] == [
             "error: rank must be an integer >= 1, got -1",
-            "error: seed must be >= 0, got -1",
+            "error: seed must be an integer >= 0, got -1",
             f"error: seed must be < 2**64, got {2**64}",
         ]
 
