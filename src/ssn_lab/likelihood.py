@@ -25,8 +25,8 @@ from .lowrank import (
     Params,
     check_logits,
     draw_noise,
-    effective_diag,
-    reconstruct_samples,
+    empty_noise,
+    sample_rows,
 )
 from .rng import PortableRng, mix_seed
 
@@ -71,7 +71,10 @@ class LabelMap:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "num_classes", num_classes)
         if self.mask is not None:
-            mask = np.array(self.mask, dtype=bool, copy=True).reshape(-1)
+            mask = np.array(self.mask, copy=True).reshape(-1)
+            if mask.size and mask.dtype != bool:  # no truncation to True/False
+                raise ValidationError(f"mask must be boolean, got dtype {mask.dtype}")
+            mask = mask.astype(bool, copy=False)
             if mask.shape != labels.shape:
                 raise ShapeError(
                     f"mask length {mask.size} does not match {labels.size} pixels"
@@ -98,6 +101,8 @@ def labels_from_logits(logit_rows, num_classes: int, threshold: float = 0.0):
     if num_classes == 1:
         return (logit_rows > threshold).astype(np.int64)
     n, dim = logit_rows.shape
+    if dim % num_classes:
+        raise ShapeError(f"{dim} logits per row do not split into {num_classes} classes")
     return np.argmax(logit_rows.reshape(n, dim // num_classes, num_classes), axis=2)
 
 
@@ -156,6 +161,17 @@ def _logsumexp(x: np.ndarray, overwrite: bool = False):
 
 
 def _label_terms(logit_rows: np.ndarray, labels: LabelMap):
+    """``_row_terms`` of ``logit_rows``, warning if every pixel is masked."""
+    _warn_if_all_masked(labels)
+    return _row_terms(logit_rows, labels)
+
+
+def _warn_if_all_masked(labels: LabelMap) -> None:
+    if not labels.active_mask().any():
+        warnings.warn("all pixels masked out; log-likelihood is an empty sum")
+
+
+def _row_terms(logit_rows: np.ndarray, labels: LabelMap):
     """Per-row label log-likelihood of a [n, num_pixels * num_classes]
     batch, in row blocks of about ``_BLOCK`` elements, and, for two or more
     classes, each pixel's softmax numerator ``exp(eta - max)``
@@ -191,8 +207,6 @@ def _label_terms(logit_rows: np.ndarray, labels: LabelMap):
                 terms = np.take(logit_rows[rows], picks, axis=1)
                 terms -= _logsumexp(numer[rows], overwrite=True)[0]
                 loglik[rows] = np.take(terms, keep, axis=1).sum(axis=1)
-    if not active.any():
-        warnings.warn("all pixels masked out; log-likelihood is an empty sum")
     return loglik, numer
 
 
@@ -216,25 +230,34 @@ def _check_pair(a, b) -> None:
         )
 
 
-def _mc_forward(params: Params, labels: LabelMap, noise: NoiseDraw):
-    """Loss value, per-sample log-likelihoods, their softmax weights and the
-    one array the backward pass reads, for fixed noise: the logit samples
-    for one logit, the softmax numerators [n, num_pixels, num_classes] for
-    two or more classes. The one forward pass behind the loss, its gradient
-    and the finite-difference oracle."""
-    samples = reconstruct_samples(params, noise)
-    loglik, numer = _label_terms(samples, labels)
+def _mc_forward(params: Params, labels: LabelMap, noise: NoiseDraw, fill=None):
+    """Loss value, per-sample log-likelihoods, their softmax weights, the
+    one array the backward pass reads and the scale ``sqrt(D)``, for fixed
+    noise, which ``fill`` (from ``empty_noise``) draws first if given. The
+    array is the logit samples for one logit, the softmax numerators
+    [n, num_pixels, num_classes] for two or more classes. Each row block of
+    ``sample_rows`` is scored right after it is rebuilt, on the same thread.
+    The one forward pass behind the loss, its gradient and the
+    finite-difference oracle."""
+    samples, scale, parts = sample_rows(
+        params, noise, fill, lambda rows: _row_terms(rows, labels)[0]
+    )
+    loglik = np.concatenate(parts)
+    _warn_if_all_masked(labels)
     if not np.all(np.isfinite(loglik)):
         raise OverflowSignal("non-finite per-sample log-likelihood")
     lse, weights = _logsumexp(loglik)
     weights /= weights.sum()
     value = float(-lse + np.log(loglik.size))
-    return value, loglik, weights, samples if numer is None else numer
+    if labels.num_classes > 1:
+        samples = samples.reshape(loglik.size, labels.num_pixels, labels.num_classes)
+    return value, loglik, weights, samples, scale
 
 
-def _mc_backward(params: Params, labels: LabelMap, noise: NoiseDraw, weights, block):
-    """Exact gradient from the forward pass's weights and ``block`` (see
-    ``_mc_forward``), which it overwrites with the residual. Only samples of
+def _mc_backward(params: Params, labels: LabelMap, noise: NoiseDraw, weights, block,
+                 scale):
+    """Exact gradient from the forward pass's weights, ``block`` and ``scale``
+    (see ``_mc_forward``); it overwrites ``block`` with the residual. Only samples of
     non-zero weight are read: at paper size their log-likelihoods differ by
     thousands of nats, and a median 17 of 20 weights are exactly 0 (effective
     sample size 1.00). Such a sample adds ``+-0.0`` to each sum, and numpy's
@@ -261,8 +284,7 @@ def _mc_backward(params: Params, labels: LabelMap, noise: NoiseDraw, weights, bl
     residual = residual.reshape(weights.size, -1)
     grad_mean = residual.sum(axis=0)
     grad_factor = residual.T @ eps_factor
-    diag_raw = params.diag_raw
-    sqrt_d_deriv = 0.5 / np.sqrt(effective_diag(diag_raw)) * expit(diag_raw)
+    sqrt_d_deriv = 0.5 / scale * expit(params.diag_raw)
     residual *= eps_diag
     grad_diag_raw = residual.sum(axis=0) * sqrt_d_deriv
     return Params(grad_mean, grad_factor, grad_diag_raw)
@@ -282,10 +304,10 @@ def ssn_mc_loss(
     """
     num_samples = check_count(num_samples, 1, "num_samples")
     _check_pair(dist, labels)
-    noise = draw_noise(num_samples, dist.rank, dist.dim, rng_seed)
-    value, loglik, weights, block = _mc_forward(dist, labels, noise)
+    noise, fill = empty_noise(range(num_samples), dist.rank, dist.dim, rng_seed)
+    value, loglik, *record = _mc_forward(dist, labels, noise, fill)
     # A plain attribute, not a field: out of repr, equality and replace().
-    object.__setattr__(noise, "_forward", (dist, labels, weights, block))
+    object.__setattr__(noise, "_forward", (dist, labels, *record))
     return LossValue(value=value, per_sample_loglik=loglik, noise=noise)
 
 
@@ -297,8 +319,8 @@ def loss_and_grads(
     The unvalidated kernel behind ``grad_ssn_mc_loss`` and the toy trainer:
     callers guarantee consistent shapes and finite parameters.
     """
-    value, _, weights, block = _mc_forward(params, labels, noise)
-    return value, _mc_backward(params, labels, noise, weights, block)
+    value, _, *record = _mc_forward(params, labels, noise)
+    return value, _mc_backward(params, labels, noise, *record)
 
 
 def grad_ssn_mc_loss(

@@ -16,12 +16,14 @@ Cholesky route is provided as an independent oracle for verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (NumericalError, ShapeError, SizeGuardError, ValidationError,
                      check_count)
+from . import rng
 from .rng import PortableRng
 
 DIAG_FLOOR = 1e-5
@@ -114,8 +116,10 @@ class LowRankGaussian:
         for name in ("num_pixels", "num_classes", "rank"):
             object.__setattr__(self, name, check_count(getattr(self, name), 1, name))
         for name, shape in Params.shapes(self.dim, self.rank)._asdict().items():
-            value = getattr(self, name)
-            value = np.array(value, dtype=np.float64, order="C", copy=True)
+            try:
+                value = np.array(getattr(self, name), np.float64, order="C", copy=True)
+            except (TypeError, ValueError) as err:  # strings, objects
+                raise ValidationError(f"{name} must hold numbers: {err}") from err
             if value.shape != shape:
                 raise ShapeError(f"{name} has shape {value.shape}, expected {shape}")
             if not np.all(np.isfinite(value)):
@@ -140,8 +144,8 @@ class LowRankGaussian:
         ``[n, dim]`` sample matrix and the noise behind it.
         """
         n = check_count(n, 1, "sample count")
-        noise = draw_noise(n, self.rank, self.dim, seed)
-        return reconstruct_samples(self, noise), noise
+        noise, fill = empty_noise(range(n), self.rank, self.dim, seed)
+        return sample_rows(self, noise, fill)[0], noise
 
     def log_prob(self, logits) -> float:
         """Exact Gaussian log-density in O(dim * rank^2) time.
@@ -195,38 +199,75 @@ def draw_noise(n: int, rank: int, dim: int, seed: int) -> NoiseDraw:
     read-only, so a loss and its gradient see the same draws. The diagonal
     noise is a view of the drawn ``[n, rank + dim]`` block, not a copy: every
     use of it is elementwise, which gives the same bits on either layout."""
-    return noise_rows(range(n), rank, dim, seed)
+    noise, fill = empty_noise(range(n), rank, dim, seed)
+    fill(0, n)
+    return _locked(noise)
 
 
-def noise_rows(rows: range, rank: int, dim: int, seed: int) -> NoiseDraw:
+def empty_noise(rows: range, rank: int, dim: int, seed: int):
     """The contiguous ``rows`` of the noise ``draw_noise`` gives for ``seed``,
-    drawn from its stream advanced past the rows before them."""
-    rng = PortableRng(seed)
-    if rows.start:
-        rng.advance(rows.start * (rank + dim))
-    block = rng.standard_normal((rows.stop - rows.start, rank + dim))
-    block.setflags(write=False)
-    eps_factor = np.ascontiguousarray(block[:, :rank])
-    eps_factor.setflags(write=False)
-    return NoiseDraw(eps_factor, block[:, rank:])
+    not yet drawn, and ``fill(start, stop)``, which draws rows ``[start,
+    stop)`` of them from the seed's stream advanced past the rows before
+    them: all at once with ``standard_normal``'s flat split, fewer (one pass
+    of ``_side_by_side``) serially, so no pool starts inside another."""
+    n = rows.stop - rows.start  # len(rows) overflows past 2**63
+    source, width = PortableRng(seed), rank + dim
+    source.advance(rows.start * width)
+    block = rng._empty((n, width))
+    eps_factor = np.empty((n, rank))
+
+    def fill(start: int, stop: int) -> None:
+        drawn = block[start:stop].reshape(-1)
+        if stop - start == n:
+            rng._fill(source._bits, drawn)
+        else:
+            rng._fill_normal(rng._advanced(source._bits, start * width), drawn)
+        eps_factor[start:stop] = block[start:stop, :rank]
+
+    return NoiseDraw(eps_factor, block[:, rank:]), fill
 
 
-def reconstruct_samples(params: Params, noise: NoiseDraw) -> np.ndarray:
-    """Sample reconstruction from raw, unvalidated arrays and recorded noise.
+def _locked(noise: NoiseDraw) -> NoiseDraw:
+    """``noise``, drawn, made read-only with the block it views."""
+    for array in (noise.eps_factor, noise.eps_diag, noise.eps_diag.base):
+        array.setflags(write=False)
+    return noise
 
-    Shared by sampling, the loss, its gradient and the finite-difference
-    oracle so all of them see bit-identical logit samples. The sum is formed
-    in place as ``(mean + eps_factor @ factor.T) + eps_diag * scale``, with
-    the diagonal term added in row blocks of about ``_BLOCK`` elements, so no
-    full-size temporary is made.
+
+def sample_rows(params: Params, noise: NoiseDraw, fill=None, score=None):
+    """The ``[n, dim]`` samples of ``noise``, the scale ``sqrt(D)`` and, in row
+    order, ``score`` of each row block's samples (None without ``score``).
+
+    A block's noise is drawn by ``fill`` (from ``empty_noise``) if given,
+    then its rows are rebuilt in place as ``(mean + eps_factor @ factor.T) +
+    eps_diag * scale``, the last term in row blocks of about ``_BLOCK``
+    elements. From ``_SPLIT_MIN`` variates and 4 rows on, the blocks are the
+    row halves, the two passes of ``_side_by_side``: each core draws,
+    rebuilds and scores its own. Two or more rows of the factor product
+    equal those rows of the whole one to the bit; one row (GEMV) need not.
     """
+    (n, rank), dim = noise.eps_factor.shape, noise.eps_diag.shape[1]
+    samples = np.empty((n, dim))
     scale = np.sqrt(effective_diag(params.diag_raw))
-    samples = noise.eps_factor @ params.factor.T
-    samples += params.mean
-    rows = max(1, _BLOCK // max(1, samples.shape[1]))
-    for start in range(0, samples.shape[0], rows):
-        samples[start : start + rows] += noise.eps_diag[start : start + rows] * scale
-    return samples
+    step = max(1, _BLOCK // max(1, dim))
+
+    def rows(start: int, stop: int):
+        if fill is not None:
+            fill(start, stop)
+        part, eps_diag = samples[start:stop], noise.eps_diag[start:stop]
+        np.matmul(noise.eps_factor[start:stop], params.factor.T, out=part)
+        part += params.mean
+        for at in range(0, stop - start, step):
+            part[at : at + step] += eps_diag[at : at + step] * scale
+        return None if score is None else score(part)
+
+    if n >= 4 and n * (rank + dim) >= rng._SPLIT_MIN:
+        scores = rng._side_by_side(partial(rows, 0, n // 2), partial(rows, n // 2, n))
+    else:
+        scores = [rows(0, n)]
+    if fill is not None:
+        _locked(noise)
+    return samples, scale, scores
 
 
 def _capacitance_cholesky(capacitance: np.ndarray) -> np.ndarray:

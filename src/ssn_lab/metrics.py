@@ -146,7 +146,10 @@ def pairwise_iou_distance(
         in_a = rows_a == cls
         in_b = in_a if rows_a is rows_b else rows_b == cls
         intersection = _overlap_counts(in_a, in_b)
-        union = in_a.sum(axis=1)[:, None] + in_b.sum(axis=1)[None, :] - intersection
+        # One stack twice: its class sizes are the self-overlap's diagonal.
+        size_a = np.diagonal(intersection) if in_b is in_a else in_a.sum(axis=1)
+        size_b = size_a if in_b is in_a else in_b.sum(axis=1)
+        union = size_a[:, None] + size_b[None, :] - intersection
         defined = union > 0
         iou_sum += np.where(defined, intersection / np.where(defined, union, 1.0), 0.0)
         present += defined
@@ -269,7 +272,10 @@ def marginal_entropy(prob_samples: list[np.ndarray]) -> np.ndarray:
     """
     if not prob_samples:
         raise ValidationError("need at least one probability tensor")
-    stacked = np.stack([np.asarray(p, dtype=np.float64) for p in prob_samples])
+    arrays = [np.asarray(p, dtype=np.float64) for p in prob_samples]
+    if len({a.shape for a in arrays}) > 1:
+        raise ShapeError("probability tensors must all have one shape")
+    stacked = np.stack(arrays)
     if stacked.ndim == 3 and stacked.shape[2] == 1:
         stacked = stacked[:, :, 0]
     if stacked.ndim == 2:  # [n, S] foreground probabilities

@@ -43,21 +43,8 @@ class PortableRng:
 
     def standard_normal(self, size) -> np.ndarray:
         """Inverse-CDF normals, ``ndtri(uniform_open(size))`` bit for bit."""
-        try:
-            out = np.empty(size)
-        except ValueError as err:  # past numpy's size limit, unless negative
-            if np.any(np.asarray(size) < 0):
-                raise
-            raise MemoryError(f"cannot draw {size} normals: {err}") from err
-        flat = out.reshape(-1)
-        half = flat.size // 2 if flat.size >= _SPLIT_MIN else 0
-        if not half:
-            _fill_normal(self._bits, flat)
-            return out
-        tail = _advanced(self._bits, half)
-        _side_by_side(lambda: _fill_normal(self._bits, flat[:half]),
-                      lambda: _fill_normal(tail, flat[half:]))
-        self._bits = tail  # where a serial draw ends
+        out = _empty(size)
+        self._bits = _fill(self._bits, out.reshape(-1))
         return out
 
     def advance(self, count: int) -> None:
@@ -89,6 +76,31 @@ def _side_by_side(*passes) -> list:
                 for index, run in enumerate(passes)]
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _empty(size) -> np.ndarray:
+    """``np.empty(size)`` for a draw; a size past numpy's limit, unless
+    negative, is a ``MemoryError``, as is one no memory can hold."""
+    try:
+        return np.empty(size)
+    except ValueError as err:
+        if np.any(np.asarray(size) < 0):
+            raise
+        raise MemoryError(f"cannot draw {size} normals: {err}") from err
+
+
+def _fill(bits: np.random.Generator, flat: np.ndarray) -> np.random.Generator:
+    """Fill the 1-d ``flat`` with normals from ``bits``, its two halves side
+    by side from ``_SPLIT_MIN`` variates on; returns the stream where a
+    serial draw ends."""
+    half = flat.size // 2 if flat.size >= _SPLIT_MIN else 0
+    if not half:
+        _fill_normal(bits, flat)
+        return bits
+    tail = _advanced(bits, half)
+    _side_by_side(lambda: _fill_normal(bits, flat[:half]),
+                  lambda: _fill_normal(tail, flat[half:]))
+    return tail
 
 
 def _advanced(bits: np.random.Generator, count: int) -> np.random.Generator:

@@ -33,8 +33,8 @@ from .lowrank import (
     LowRankGaussian,
     Params,
     draw_noise,
-    noise_rows,
-    reconstruct_samples,
+    empty_noise,
+    sample_rows,
     softplus_inv,
 )
 from .metrics import SampleSet, ged_squared
@@ -200,9 +200,9 @@ def _thresholded_draw(model: LowRankGaussian, rows: range, seed: int):
     """The thresholded labels of ``model.sample(n, seed)``'s ``rows``. Any
     block of two or more rows of the factor product equals the same rows of
     the whole one to the bit, so these are the whole draw's labels."""
-    noise = noise_rows(rows, model.rank, model.dim, seed)
+    noise, fill = empty_noise(rows, model.rank, model.dim, seed)
     with np.errstate(over="ignore"):  # an overflowed sample still thresholds
-        return labels_from_logits(reconstruct_samples(model, noise), 1)
+        return labels_from_logits(sample_rows(model, noise, fill)[0], 1)
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,8 @@ def rank_sweep(
     base = config if config is not None else TrainConfig()
     cells = [(rank, seed, base) for rank in ranks for seed in seeds]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool forks all its workers on the first submit: no more than cells.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             return list(pool.map(_run_sweep_cell, cells))
     return [_run_sweep_cell(cell) for cell in cells]
 

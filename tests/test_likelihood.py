@@ -1,4 +1,5 @@
 import hashlib
+import threading
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -30,7 +31,7 @@ from ssn_lab import (
     mix_seed,
     ssn_mc_loss,
 )
-from ssn_lab.lowrank import draw_noise, effective_diag, reconstruct_samples
+from ssn_lab.lowrank import draw_noise, effective_diag, sample_rows
 from conftest import random_instance, random_labels
 
 
@@ -109,6 +110,12 @@ class TestCrossEntropy:
             7.0 * np.log(2.0), abs=1e-12
         )
 
+    @pytest.mark.parametrize("mask", [[0.5, 2], [0, 1], ["", "x"]])
+    def test_mask_must_be_boolean(self, mask):
+        """``[0.5, 2]`` once held ``[True, True]``."""
+        with pytest.raises(ValidationError, match="mask must be boolean"):
+            toy_binary([1, 0], mask=mask)
+
     def test_fully_masked_is_zero_with_warning(self):
         labels = toy_binary([1, 0], mask=[False, False])
         with pytest.warns(UserWarning):
@@ -155,6 +162,11 @@ class TestLabelsFromLogits:
         with pytest.raises(ValidationError, match="num_classes must be an integer"):
             labels_from_logits(np.zeros((2, 4)), num_classes)
 
+    def test_width_the_class_count_does_not_divide_is_a_shape_error(self):
+        """A raw ``ValueError: cannot reshape`` once."""
+        with pytest.raises(ShapeError, match="5 logits per row"):
+            labels_from_logits(np.zeros((2, 5)), 3)
+
     def test_tie_at_the_threshold_is_background(self):
         rows = np.array([[0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]])
         assert labels_from_logits(rows, 1, 0.5).tolist() == [[0, 1, 0]]
@@ -185,7 +197,7 @@ class TestMcLoss:
         labels = random_labels(2, dist.num_pixels, 1)
         result = ssn_mc_loss(dist, labels, num_samples=1, rng_seed=5)
         noise = result.noise
-        sample = reconstruct_samples(dist, noise)[0]
+        sample = sample_rows(dist, noise)[0][0]
         assert result.value == pytest.approx(
             cross_entropy_loss(sample, labels), abs=1e-12
         )
@@ -865,7 +877,7 @@ class TestZeroWeightSamples:
         from ssn_lab.likelihood import _mc_forward, loss_and_grads
 
         args, forced = case
-        value, _, weights, block = _mc_forward(**args)
+        value, _, weights, block, _ = _mc_forward(**args)
         assert np.all(weights[forced] == 0.0)
         expected = full_row_grads(
             args["params"].diag_raw, args["labels"], args["noise"].eps_factor,
@@ -894,7 +906,7 @@ class TestZeroWeightSamples:
                 eps_diag=np.array([[0.0, 0.0], [-740.0 / scale, 0.0]]),
             ),
         )
-        value, _, weights, block = _mc_forward(**args)
+        value, _, weights, block, _ = _mc_forward(**args)
         assert 0.0 < weights[1] < 1e-300
         expected = full_row_grads(
             args["params"].diag_raw, args["labels"], args["noise"].eps_factor,
@@ -1005,6 +1017,153 @@ class TestForwardReuse:
                 noise.eps_diag[0, 0] = 1.0
             with pytest.raises(ValueError):
                 noise.eps_factor[0, 0] = 1.0
+
+
+def row_half_case(num_samples, num_classes, masked):
+    """A model of 6 pixels at rank 2 and its labels, seeded by the case."""
+    rng = PortableRng(mix_seed(num_samples, num_classes, int(masked)))
+    dim = 6 * num_classes
+    dist = LowRankGaussian(rng.standard_normal(dim), rng.standard_normal((dim, 2)),
+                           rng.standard_normal(dim), 6, num_classes, 2)
+    return dist, random_labels(num_samples, 6, num_classes, with_mask=masked)
+
+
+def row_half_outputs(dist, labels, num_samples):
+    """Every byte ``sample``, ``ssn_mc_loss`` and ``grad_ssn_mc_loss`` give,
+    the gradient both from the forward's record and recomputed."""
+    samples, noise = dist.sample(num_samples, seed=9)
+    loss = ssn_mc_loss(dist, labels, num_samples, rng_seed=9)
+    fresh = NoiseDraw(loss.noise.eps_factor, loss.noise.eps_diag)
+    arrays = [samples, noise.eps_factor, noise.eps_diag, np.float64(loss.value),
+              loss.per_sample_loglik, loss.noise.eps_factor, loss.noise.eps_diag,
+              *grad_ssn_mc_loss(dist, labels, loss.noise),
+              *grad_ssn_mc_loss(dist, labels, fresh)]
+    return [np.ascontiguousarray(array).tobytes() for array in arrays]
+
+
+class TestRowHalves:
+    """From ``_SPLIT_MIN`` variates and 4 samples on, each core draws,
+    rebuilds and scores one row half; the bytes must be the serial path's.
+    ``_SPLIT_MIN`` is made 1 here, so every call of 4 or more rows splits."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Two CPUs and a split from 1 variate on; returns the scored blocks,
+        each as (rows, whether the calling thread scored it)."""
+        from ssn_lab import likelihood, rng
+
+        monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(rng, "_SPLIT_MIN", 1)
+        blocks, score = [], likelihood._row_terms
+
+        def recording_score(logit_rows, labels):
+            main = threading.current_thread() is threading.main_thread()
+            blocks.append((logit_rows.shape[0], main))
+            return score(logit_rows, labels)
+
+        monkeypatch.setattr(likelihood, "_row_terms", recording_score)
+        return blocks
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("num_classes", [1, 2, 4])
+    @pytest.mark.parametrize("num_samples", [3, 4, 5, 20])
+    def test_halves_give_the_serial_bytes(self, request, num_samples, num_classes,
+                                          masked):
+        dist, labels = row_half_case(num_samples, num_classes, masked)
+        want = row_half_outputs(dist, labels, num_samples)
+        blocks = request.getfixturevalue("split")
+        threads = threading.active_count()
+        assert row_half_outputs(dist, labels, num_samples) == want
+        assert threading.active_count() == threads
+        half = num_samples // 2
+        scored = ([(num_samples, True)] if num_samples < 4
+                  else sorted([(half, True), (num_samples - half, False)]))
+        # One forward for the loss, one for the recomputed gradient.
+        assert sorted(blocks) == sorted(scored * 2)
+
+    def test_all_masked_warns_once_on_the_calling_thread(self, split, monkeypatch):
+        from ssn_lab import likelihood
+
+        dist, _ = row_half_case(20, 2, False)
+        labels = LabelMap(labels=np.zeros(6, np.int64), num_classes=2,
+                          mask=np.zeros(6, bool))
+        warned = []
+
+        def recording_warn(message, *args, **kwargs):
+            main = threading.current_thread() is threading.main_thread()
+            warned.append((message, main))
+
+        monkeypatch.setattr(likelihood.warnings, "warn", recording_warn)
+        loss = ssn_mc_loss(dist, labels, 20, rng_seed=1)
+        assert loss.value == 0.0
+        assert warned == [("all pixels masked out; log-likelihood is an empty sum",
+                           True)]
+        assert len(split) == 2
+
+    @pytest.mark.parametrize("row", [0, 9, 10, 19])
+    def test_non_finite_sample_in_either_half_raises(self, split, row):
+        from ssn_lab.likelihood import loss_and_grads
+
+        dist, labels = row_half_case(20, 2, False)
+        noise = draw_noise(20, 2, dist.dim, 4)
+        eps_diag = noise.eps_diag.copy()
+        eps_diag[row, 3] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the signal is all that surfaces
+            with pytest.raises(OverflowSignal):
+                loss_and_grads(dist, labels, NoiseDraw(noise.eps_factor, eps_diag))
+        assert len(split) == 2
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    @pytest.mark.parametrize("failing, raised",
+                             [({2, 3}, "2 rows"), ({3}, "3 rows"), ({2}, "2 rows")])
+    def test_low_half_failure_is_raised_first(self, split, monkeypatch, cpus,
+                                              failing, raised):
+        """Five samples split as 2 + 3 rows: the low half's failure is raised
+        whenever it fails, as in a serial run, and the pool is gone after."""
+        from ssn_lab import likelihood, rng
+
+        monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: cpus)
+        score = likelihood._row_terms
+
+        def failing_score(logit_rows, labels):
+            if logit_rows.shape[0] in failing:
+                raise OverflowSignal(f"{logit_rows.shape[0]} rows")
+            return score(logit_rows, labels)
+
+        monkeypatch.setattr(likelihood, "_row_terms", failing_score)
+        dist, labels = row_half_case(5, 2, False)
+        threads = threading.active_count()
+        with pytest.raises(OverflowSignal, match=raised):
+            ssn_mc_loss(dist, labels, 5, rng_seed=2)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_one_pool_per_call(self, split, monkeypatch, cpus):
+        """Each split call has one one-thread pool, shut down before it
+        returns; with one CPU none, and no thread starts."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from ssn_lab import rng
+
+        monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: cpus)
+        dist, labels = row_half_case(20, 2, True)
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
+        threads = threading.active_count()
+        loss = ssn_mc_loss(dist, labels, 20, rng_seed=3)
+        assert pools == ([1] if len(cpus) > 1 else [])
+        assert threading.active_count() == threads
+        grad_ssn_mc_loss(dist, labels, loss.noise)  # reuses the forward
+        dist.sample(20, seed=3)
+        assert pools == ([1, 1] if len(cpus) > 1 else [])
+        assert threading.active_count() == threads
 
 
 class TestFiniteDifferences:

@@ -24,8 +24,8 @@ from ssn_lab.lowrank import (
     draw_noise,
     effective_diag,
     effective_diag_inv,
-    noise_rows,
-    reconstruct_samples,
+    empty_noise,
+    sample_rows,
 )
 from conftest import random_instance
 
@@ -119,6 +119,12 @@ class TestConstruction:
                 rank=1,
             )
 
+    @pytest.mark.parametrize("mean", ["abcd", ["a", 1, 2, 3], object()])
+    def test_non_numeric_rejected(self, mean):
+        """``"abcd"`` once raised numpy's raw ``ValueError``."""
+        with pytest.raises(ValidationError, match="mean must hold numbers"):
+            LowRankGaussian(mean, np.zeros((4, 1)), np.zeros(4), 4, 1, 1)
+
     def test_arrays_are_immutable(self):
         dist = random_instance(0)
         with pytest.raises(ValueError):
@@ -193,7 +199,7 @@ class TestSampling:
         diag_raw = rng.standard_normal(dim)
         noise = draw_noise(n, 3, dim, seed=dim)
         eps_factor, eps_diag = noise.eps_factor, noise.eps_diag
-        got = reconstruct_samples(Params(mean, factor, diag_raw), noise)
+        got = sample_rows(Params(mean, factor, diag_raw), noise)[0]
         scale = np.sqrt(effective_diag(diag_raw))
         want = mean[None, :] + eps_factor @ factor.T + eps_diag * scale
         assert got.shape == (n, dim) and got.tobytes() == want.tobytes()
@@ -213,16 +219,18 @@ class TestSampling:
         params = Params(rng.standard_normal(dim), rng.standard_normal((dim, rank)),
                         rng.standard_normal(dim))
         whole_noise = draw_noise(n, rank, dim, seed=7)
-        whole = reconstruct_samples(params, whole_noise)
+        scale = np.sqrt(effective_diag(params.diag_raw))
+        whole = (params.mean + whole_noise.eps_factor @ params.factor.T
+                 + whole_noise.eps_diag * scale)
         half, third = n // 2, n // 3
         blocks = {(0, half), (half, n), (0, 2), (n - 2, n), (1, 3), (2, 5),
                   (third, min(n, third + 33)), (1, n - 1)}
         for a, b in sorted(block for block in blocks if block[1] <= n):
             assert b - a >= 2
-            noise = noise_rows(range(a, b), rank, dim, seed=7)
+            noise, fill = empty_noise(range(a, b), rank, dim, seed=7)
+            got = sample_rows(params, noise, fill)[0]
             assert noise.eps_factor.tobytes() == whole_noise.eps_factor[a:b].tobytes()
             assert noise.eps_diag.tobytes() == whole_noise.eps_diag[a:b].tobytes()
-            got = reconstruct_samples(params, noise)
             assert got.tobytes() == whole[a:b].tobytes(), (a, b)
 
     def test_rank_one_factor_induces_near_perfect_correlation(self):

@@ -308,6 +308,11 @@ class TestDiceOnLabelRows:
 
 
 class TestMarginalEntropy:
+    def test_tensors_of_two_shapes_rejected(self):
+        """numpy's raw ``ValueError`` from ``np.stack`` once."""
+        with pytest.raises(ShapeError, match="one shape"):
+            marginal_entropy([np.full(3, 0.5), np.full(4, 0.5)])
+
     def test_maximal_binary_entropy(self):
         rows = np.array([[0.5, 0.5], [0.5, 0.5]])
         assert np.allclose(marginal_entropy([rows]), 1.0, atol=1e-12)

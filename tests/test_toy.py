@@ -482,6 +482,32 @@ class TestRankSweep:
         with pytest.raises(ValidationError, match="jobs must be an integer >= 1"):
             rank_sweep([1], [1], config=TrainConfig(**QUICK), jobs=jobs)
 
+    def test_pool_is_no_larger_than_the_grid(self, monkeypatch):
+        """The pool forks all its workers on the first submit, so ``jobs``
+        past the cell count once forked that many processes. The recorder
+        starts none: it runs the cells in order."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(ssn_lab.toy, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ssn_lab.toy, "_run_sweep_cell", lambda cell: cell[:2])
+        rows = rank_sweep([1, 2], [5, 6, 7], config=TrainConfig(**QUICK), jobs=100_000)
+        assert rows == [(1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (2, 7)]
+        rank_sweep([1], [5, 6, 7], config=TrainConfig(**QUICK), jobs=2)
+        assert sizes == [6, 2]
+
     def test_grid_runs_and_echoes_ranks(self):
         config = TrainConfig(**QUICK)
         rows = rank_sweep([1, 2], [1], config=config)

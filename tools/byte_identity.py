@@ -24,6 +24,9 @@ so outputs are compared within a level. The jobs:
 - ``sample`` twice, ``manipulate`` and ``metrics`` on the two sample sets;
 - a generated 3-class ``PatchedParams`` of four patches, stitched and saved
   as SSNT, then ``sample``d;
+- a generated 128x128 four-class model of rank 10, saved as SSNT, then
+  ``sample``d at ``--n 5`` (one block) and ``--n 100`` (two row halves
+  drawn, rebuilt and thresholded side by side);
 - ``metrics`` on generated JSON label maps of 4 classes, and on maps that
   declare 300 classes (16-bit labels), some of them absent from every map;
 - the paper-size digests of ``tests/test_likelihood.py``
@@ -141,6 +144,20 @@ formats.save_distribution(Path(sys.argv[1]) / "stitched.ssnt", model)
 """
 
 
+# A paper-size model: 128x128 pixels, four classes, rank 10.
+PAPER_MODEL = """
+import sys
+from pathlib import Path
+import numpy as np
+from ssn_lab import LowRankGaussian, formats
+rng = np.random.default_rng(26)
+dim = 128 * 128 * 4
+model = LowRankGaussian(rng.standard_normal(dim), 0.3 * rng.standard_normal((dim, 10)),
+                        rng.standard_normal(dim), 128 * 128, 4, 10)
+formats.save_distribution(Path(sys.argv[1]) / "paper.ssnt", model)
+"""
+
+
 def jobs(work: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) per job, in dependency order; each writes under ``work``."""
     model = str(work / "train" / "model.ssnt")
@@ -174,6 +191,11 @@ def jobs(work: Path) -> list[tuple[str, list[str]]]:
         ("sample-stitched", [*cli, "sample", "--model", str(work / "stitched.ssnt"),
                              "--n", "6", "--seed", "5",
                              "--out", str(work / "samples-stitched")]),
+        ("paper-model", [sys.executable, "-c", PAPER_MODEL, str(work)]),
+        *((f"sample-paper-{n}", [*cli, "sample", "--model", str(work / "paper.ssnt"),
+                                 "--n", n, "--seed", "6",
+                                 "--out", str(work / f"samples-paper-{n}")])
+          for n in ("5", "100")),
         ("label-maps", [sys.executable, "-c", LABEL_MAPS, str(work)]),
         *((f"metrics-{classes}", [*cli, "metrics",
                                   "--gt", str(work / f"maps{classes}-gt"),
