@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
+from . import rng
 from .errors import ShapeError, ValidationError, check_count
 from .likelihood import LabelMap, _check_labels, _check_pair
 
 _EXACT_F32_COUNT = 1 << 24  # float32 counts every integer up to here exactly
+_HELD_COUNTS = 1 << 21  # float64 overlap counts held per group of classes: 16 MiB
+_LABEL_CHUNK = 1 << 16  # labels counted at a time: a 512 KiB int64 copy
 
 
 class SampleSet:
@@ -91,8 +94,19 @@ class SampleSet:
 
     @cached_property
     def foreground_classes(self) -> tuple[int, ...]:
-        """The non-background classes in the set, ascending."""
-        return tuple(int(cls) for cls in np.unique(self.distinct_rows()[0]) if cls)
+        """The non-background classes in the set, ascending. Labels below
+        2**16 are counted ``_LABEL_CHUNK`` at a time, with no sort and no
+        int64 copy of the whole set; wider ones are sorted."""
+        labels = self.distinct_rows()[0].reshape(-1)
+        if self.num_classes > 1 << 16:
+            present = np.unique(labels)
+        else:
+            seen = np.zeros(max(self.num_classes, 2), dtype=bool)
+            for start in range(0, labels.size, _LABEL_CHUNK):
+                counts = np.bincount(labels[start : start + _LABEL_CHUNK])
+                seen[: counts.size] |= counts > 0
+            present = np.flatnonzero(seen)
+        return tuple(int(cls) for cls in present if cls)
 
 
 def _unique_rows(rows: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,24 +146,32 @@ class MetricReport:
 def pairwise_iou_distance(
     rows_a: np.ndarray, rows_b: np.ndarray, classes: list[int]
 ) -> np.ndarray:
-    """Matrix of 1 - IoU distances between two stacks of label rows.
+    """Matrix of 1 - IoU distances between two stacks of label rows: the
+    ``rows_a`` by ``rows_b`` block of ``_distance_matrix`` over the stacked
+    rows ``[rows_a; rows_b]``, or that of ``rows_a`` alone when the same
+    array is passed twice."""
+    if rows_a is rows_b:
+        return _distance_matrix(rows_a, classes)
+    both = _distance_matrix(np.concatenate([rows_a, rows_b]), classes)
+    return both[: len(rows_a), len(rows_a) :].copy()
 
-    ``classes`` are, ascending, the non-background classes present in either
-    stack; a class in neither would add nothing. Per pair, IoU is averaged
-    over the classes present in either map; pairs where every non-background
-    class is absent from both maps get distance 0. Passing the same array
-    twice computes each overlap once.
+
+def _distance_matrix(rows: np.ndarray, classes) -> np.ndarray:
+    """The 1 - IoU distances between every two of the label ``rows``.
+
+    ``classes`` are, ascending, the non-background classes present in the
+    rows; a class in neither map of a pair adds +0.0 to its IoU sum and 0
+    to its class count, which changes no bit. Per pair, IoU is averaged
+    over the classes present in either map; pairs where every
+    non-background class is absent from both maps get distance 0. Every
+    entry is computed from its own two maps' counts alone, so a block of
+    the matrix has the bytes of a pass over just those rows.
     """
-    iou_sum = np.zeros((rows_a.shape[0], rows_b.shape[0]))
+    iou_sum = np.zeros((len(rows), len(rows)))
     present = np.zeros_like(iou_sum)
-    for cls in classes:
-        in_a = rows_a == cls
-        in_b = in_a if rows_a is rows_b else rows_b == cls
-        intersection = _overlap_counts(in_a, in_b)
-        # One stack twice: its class sizes are the self-overlap's diagonal.
-        size_a = np.diagonal(intersection) if in_b is in_a else in_a.sum(axis=1)
-        size_b = size_a if in_b is in_a else in_b.sum(axis=1)
-        union = size_a[:, None] + size_b[None, :] - intersection
+    for intersection in _class_overlaps(rows, classes):
+        size = np.diagonal(intersection)
+        union = size[:, None] + size[None, :] - intersection
         defined = union > 0
         iou_sum += np.where(defined, intersection / np.where(defined, union, 1.0), 0.0)
         present += defined
@@ -158,35 +180,64 @@ def pairwise_iou_distance(
     return 1.0 - mean_iou
 
 
-def _overlap_counts(in_a: np.ndarray, in_b: np.ndarray) -> np.ndarray:
-    """``in_a @ in_b.T`` of two boolean stacks, as exact float64 counts.
+def _class_overlaps(rows: np.ndarray, classes):
+    """Yield, per class of ``classes`` in order, the float64 ``[n, n]``
+    overlap counts of the ``n`` label ``rows``: entry (i, j) counts the
+    pixels where rows i and j both hold the class, so the diagonal holds
+    each row's class size.
 
-    The products run in float32, whose sums of zeros and ones stay exact up
-    to 2**24, so the pixel axis is cut into chunks of at most that length and
-    the chunk totals are added in float64. Given the same stack twice, numpy
-    multiplies it by its own transpose through SYRK, at half the flops.
+    A count is the product of the class indicator with its own transpose
+    (SYRK, at half the flops) in float32, whose sums of zeros and ones stay
+    exact up to 2**24, so the pixel axis is cut into chunks of at most that
+    length and the chunk totals are added in float64. From ``_SPLIT_MIN``
+    elements on, the two pixel halves are counted side by side and added:
+    one ``_side_by_side`` call per group of classes whose counts fit in
+    ``_HELD_COUNTS``. The counts are exact integers, so neither the split
+    nor the CPUs change a bit.
     """
-    counts = np.zeros((in_a.shape[0], in_b.shape[0]))
-    for start in range(0, in_a.shape[1], _EXACT_F32_COUNT):
-        chunk = slice(start, start + _EXACT_F32_COUNT)
-        ind_a = in_a[:, chunk].astype(np.float32)
-        ind_b = ind_a if in_b is in_a else in_b[:, chunk].astype(np.float32)
-        counts += ind_a @ ind_b.T
-    return counts
+    n, pixels = rows.shape
+
+    def count(batch, start: int, stop: int) -> list[np.ndarray]:
+        totals = [np.zeros((n, n)) for _ in batch]
+        for low in range(start, stop, _EXACT_F32_COUNT):
+            part = rows[:, low : min(low + _EXACT_F32_COUNT, stop)]
+            indicator = np.empty(part.shape, dtype=np.float32)
+            for total, cls in zip(totals, batch):
+                np.equal(part, cls, out=indicator, casting="unsafe")
+                total += indicator @ indicator.T
+        return totals
+
+    group = max(1, _HELD_COUNTS // max(1, n * n))
+    for first in range(0, len(classes), group):
+        batch = classes[first : first + group]
+        if rows.size < rng._SPLIT_MIN:
+            counts = count(batch, 0, pixels)
+        else:
+            low, high = rng._side_by_side(partial(count, batch, 0, pixels // 2),
+                                          partial(count, batch, pixels // 2, pixels))
+            counts = [in_low + in_high for in_low, in_high in zip(low, high)]
+        yield from counts
+
+
+def _expected_distances(sets: list[SampleSet], pairs) -> list[float]:
+    """Per ``(i, j)`` of ``pairs``, the distance averaged over all ordered
+    pairs of maps, one from ``sets[i]`` and one from ``sets[j]``, from one
+    overlap pass over the sets' stacked distinct rows."""
+    distinct = [sample_set.distinct_rows() for sample_set in sets]
+    sizes = [len(rows) for rows, _ in distinct]
+    spans = [slice(sum(sizes[:k]), sum(sizes[: k + 1])) for k in range(len(sizes))]
+    classes = sorted(set().union(*(s.foreground_classes for s in sets)))
+    matrix = _distance_matrix(np.concatenate([rows for rows, _ in distinct]), classes)
+    # Each block as a contiguous copy, the layout a pass of its own gave.
+    return [float(distinct[i][1] @ matrix[spans[i], spans[j]].copy() @ distinct[j][1])
+            for i, j in pairs]
 
 
 def iou_distance(a: LabelMap, b: LabelMap) -> float:
     """1 - IoU between two label maps, background class excluded."""
     _check_pair(a, b)
-    return _mean_distance(SampleSet(samples=[a]), SampleSet(samples=[b]))
-
-
-def _mean_distance(a: SampleSet, b: SampleSet) -> float:
-    """Distance averaged over all ordered pairs, one map from each set."""
-    rows_a, weights_a = a.distinct_rows()
-    rows_b, weights_b = b.distinct_rows()
-    classes = sorted({*a.foreground_classes, *b.foreground_classes})
-    return float(weights_a @ pairwise_iou_distance(rows_a, rows_b, classes) @ weights_b)
+    return _expected_distances([SampleSet(samples=[a]), SampleSet(samples=[b])],
+                               [(0, 1)])[0]
 
 
 def ged_squared(gt: SampleSet, pred: SampleSet) -> MetricReport:
@@ -195,12 +246,11 @@ def ged_squared(gt: SampleSet, pred: SampleSet) -> MetricReport:
     ``2 E[d(y, y_hat)] - E[d(y, y')] - E[d(y_hat, y_hat')]``.
 
     Identical label maps are grouped first, so the all-pairs expectations
-    cost O(distinct^2) rather than O(samples^2).
+    cost O(distinct^2) rather than O(samples^2), and all three come from one
+    overlap count per class over the stacked rows ``[gt; pred]``.
     """
     _check_pair(gt, pred)
-    cross = _mean_distance(gt, pred)
-    gt_self = _mean_distance(gt, gt)
-    diversity = _mean_distance(pred, pred)
+    cross, gt_self, diversity = _expected_distances([gt, pred], [(0, 1), (0, 0), (1, 1)])
     return MetricReport(
         ged_squared=2.0 * cross - gt_self - diversity,
         diversity=diversity,
@@ -215,7 +265,7 @@ def sample_diversity(pred: SampleSet) -> float:
     if len(pred) < 2:
         warnings.warn("sample diversity of a single sample is 0 by convention")
         return 0.0
-    return _mean_distance(pred, pred)
+    return _expected_distances([pred], [(0, 0)])[0]
 
 
 def _dice(pred: np.ndarray, gt_rows: np.ndarray, cls: int):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
+from contextvars import ContextVar, copy_context
 
 import numpy as np
 from scipy.special import ndtri
@@ -27,6 +27,7 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK = 1 << 15  # variates per chunk: the temporaries stay in cache
 _SPLIT_MIN = 1 << 19  # smaller draws stay serial: a split pays only on an idle core
+_IN_PASS = ContextVar("in_pass", default=False)  # set inside _side_by_side's passes
 
 
 class PortableRng:
@@ -38,12 +39,14 @@ class PortableRng:
 
     def uniform_open(self, size=None) -> np.ndarray:
         """Uniforms in the open interval (0, 1), each carrying 53 bits."""
-        k = self._bits.integers(0, 1 << 53, size=size, dtype=np.int64)
+        k = self._bits.integers(0, 1 << 53, size=_check_size(size), dtype=np.int64)
         return (np.asarray(k, dtype=np.float64) + 0.5) * 2.0**-53
 
     def standard_normal(self, size) -> np.ndarray:
         """Inverse-CDF normals, ``ndtri(uniform_open(size))`` bit for bit."""
-        out = _empty(size)
+        if size is None:
+            raise ValidationError("size must be given: there is no scalar draw")
+        out = _empty(_check_size(size))
         self._bits = _fill(self._bits, out.reshape(-1))
         return out
 
@@ -53,7 +56,7 @@ class PortableRng:
         self._bits = _advanced(self._bits, check_count(count, 0, "count"))
 
     def integers(self, low: int, high: int, size=None):
-        return self._bits.integers(low, high, size=size)
+        return self._bits.integers(low, high, size=_check_size(size))
 
     def draw_seed(self) -> int:
         """A fresh 63-bit seed for a child generator."""
@@ -66,16 +69,29 @@ def _side_by_side(*passes) -> list:
     one-thread pool, shut down on return, runs the passes at odd positions in
     copies of the caller's context (numpy's error state), and the calling
     thread runs each even pass once it holds every result before it. A
-    failure thus raises what a serial run would: the first in that order."""
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+    failure thus raises what a serial run would: the first in that order.
+    Called from inside a pass, it runs its passes serially, so no pool
+    starts inside another."""
+    if (_IN_PASS.get() or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
         return [run() for run in passes]
     pool = ThreadPoolExecutor(1)
+    token = _IN_PASS.set(True)
     try:
         theirs = [pool.submit(copy_context().run, run) for run in passes[1::2]]
         return [theirs[index // 2].result() if index % 2 else run()
                 for index, run in enumerate(passes)]
     finally:
+        _IN_PASS.reset(token)
         pool.shutdown(cancel_futures=True)
+
+
+def _check_size(size):
+    """A draw's ``size`` under the integer rule: None (a scalar), a count,
+    or a tuple or list of counts."""
+    if isinstance(size, (tuple, list)):
+        return tuple(check_count(extent, 0, "size") for extent in size)
+    return None if size is None else check_count(size, 0, "size")
 
 
 def _empty(size) -> np.ndarray:

@@ -610,19 +610,17 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("declared", [10**5, 10**9])
     def test_cost_follows_the_classes_present(self, tmp_path, monkeypatch, declared):
         """Only the classes in the maps are scored: the bytes of a declared
-        2 and one overlap product per pairwise distance matrix."""
-        calls = {"pairwise": 0, "overlap": 0}
+        2 and, for all three terms together, one overlap product per class
+        present (here class 1 only)."""
+        products = []
+        overlaps = metrics._class_overlaps
 
-        def counted(name, function):
-            def wrapper(*args):
-                calls[name] += 1
-                return function(*args)
-            return wrapper
+        def counted(rows, classes):
+            for cls, counts in zip(classes, overlaps(rows, classes)):
+                products.append(cls)
+                yield counts
 
-        monkeypatch.setattr(metrics, "pairwise_iou_distance",
-                            counted("pairwise", metrics.pairwise_iou_distance))
-        monkeypatch.setattr(metrics, "_overlap_counts",
-                            counted("overlap", metrics._overlap_counts))
+        monkeypatch.setattr(metrics, "_class_overlaps", counted)
         written = []
         for num_classes in (2, declared):
             root = tmp_path / str(num_classes)
@@ -633,7 +631,7 @@ class TestMetricsCommand:
             assert main(argv) == 0
             written.append((root / "metrics.json").read_bytes())
         assert written[0] == written[1]
-        assert calls == {"pairwise": 6, "overlap": 6}
+        assert products == [1, 1]
 
     @pytest.mark.parametrize("declared", ["18446744073709551616", "1e30"])
     def test_class_count_past_int64_labels_is_io_error(

@@ -1,12 +1,13 @@
 """The one integer rule, fuzzed over the public API.
 
-Every count, dimension, seed and label a public callable takes goes through
-``errors.check_count``: a numpy integer gives the same result as the equal
-``int``, and a bool, a float (an integral one too), a string, a value below
-the argument's least, a seed past 2**64 or a float label array raises
-exactly ``ValidationError``, with no warning. Sizes stay small (rank at most
-5, at most a few hundred elements), and no process is started: ``jobs`` only
-ever gets invalid values, which are rejected before a pool is made.
+Every count, dimension, draw size, seed and label a public callable takes
+goes through ``errors.check_count``: a numpy integer gives the same result
+as the equal ``int``, and a bool, a float (an integral one too), a string,
+a value below the argument's least, a seed past 2**64 or a float label
+array raises exactly ``ValidationError``, with no warning. Sizes stay
+small (rank at most 5, at most a few hundred elements), and no process is
+started: ``jobs`` only ever gets invalid values, which are rejected before
+a pool is made.
 """
 
 import dataclasses
@@ -120,6 +121,10 @@ CASES = {
         lambda b, v: _rng_after(v)),
     "PortableRng.advance.count": (("count", 0), (0, 1, 40),
         lambda b, v: _rng_after(1, v)),
+    **{f"PortableRng.{method}.size": (("count", 0), (0, 1, 4),
+        lambda b, v, method=method, low=low: getattr(PortableRng(6), method)(*low, v))
+       for method, low in (("standard_normal", ()), ("uniform_open", ()),
+                           ("integers", (0, 9)))},
     "mix_seed.part": (("seed",), (0, 3, 2**64 - 1),
         lambda b, v: mix_seed(1, v, 2)),
     **{f"TrainConfig.{field}": (("count", least), (least, least + 2),

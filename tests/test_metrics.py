@@ -1,6 +1,8 @@
 import itertools
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -577,3 +579,153 @@ class TestPairwiseIouDistance:
     def test_no_pixels(self):
         rows = np.zeros((3, 0), dtype=np.uint8)
         assert np.array_equal(pairwise_iou_distance(rows, rows, []), np.zeros((3, 3)))
+
+
+def per_term_iou_distance(rows_a, rows_b, classes):
+    """The distance matrix as one pass per term computed it before the
+    stacked pass: per class, float32 indicator products in chunks of
+    ``_EXACT_F32_COUNT`` pixels, the class sizes from the self-overlap's
+    diagonal when both stacks are the same array and from row sums
+    otherwise. Kept as the oracle of the stacked pass's bytes."""
+    iou_sum = np.zeros((rows_a.shape[0], rows_b.shape[0]))
+    present = np.zeros_like(iou_sum)
+    for cls in classes:
+        in_a = rows_a == cls
+        in_b = in_a if rows_a is rows_b else rows_b == cls
+        intersection = np.zeros_like(iou_sum)
+        for start in range(0, in_a.shape[1], metrics._EXACT_F32_COUNT):
+            chunk = slice(start, start + metrics._EXACT_F32_COUNT)
+            ind_a = in_a[:, chunk].astype(np.float32)
+            ind_b = ind_a if in_b is in_a else in_b[:, chunk].astype(np.float32)
+            intersection += ind_a @ ind_b.T
+        size_a = np.diagonal(intersection) if in_b is in_a else in_a.sum(axis=1)
+        size_b = size_a if in_b is in_a else in_b.sum(axis=1)
+        union = size_a[:, None] + size_b[None, :] - intersection
+        defined = union > 0
+        iou_sum += np.where(defined, intersection / np.where(defined, union, 1.0), 0.0)
+        present += defined
+    mean_iou = np.where(present > 0, iou_sum / np.maximum(present, 1.0), 1.0)
+    return 1.0 - mean_iou
+
+
+def per_term_mean_distance(a, b):
+    """One term of the per-term composition: its own classes (by sorting
+    the labels), its own overlap products, its own weights."""
+    rows_a, weights_a = a.distinct_rows()
+    rows_b, weights_b = b.distinct_rows()
+    classes = present_classes(rows_a, rows_b)
+    return float(weights_a @ per_term_iou_distance(rows_a, rows_b, classes) @ weights_b)
+
+
+def per_term_report(gt, pred):
+    cross = per_term_mean_distance(gt, pred)
+    gt_self = per_term_mean_distance(gt, gt)
+    diversity = per_term_mean_distance(pred, pred)
+    return metrics.MetricReport(2.0 * cross - gt_self - diversity, diversity, cross,
+                                gt_self)
+
+
+def skewed_set(seed, count, pixels, labels, num_classes):
+    """``count`` maps over ``pixels`` pixels whose labels are drawn, with
+    skewed shares, from ``labels`` only."""
+    rows = TestPairwiseIouDistance.label_rows(seed, count, pixels, len(labels))
+    return SampleSet(labels=np.asarray(labels)[rows], num_classes=num_classes)
+
+
+def paper_size_sets():
+    """4 raters and 100 predictions of 128x128 four-class maps: 104 x 16 384
+    stacked labels, past ``_SPLIT_MIN``."""
+    gt = skewed_set(5, 4, 128 * 128, [0, 1, 2, 3], 4)
+    return gt, skewed_set(6, 100, 128 * 128, [0, 1, 2, 3], 4)
+
+
+STACKED_CASES = {
+    "single-logit": lambda: (random_sample_set(1, 5, 9), random_sample_set(2, 12, 9)),
+    "class-in-one-set-only": lambda: (skewed_set(3, 6, 40, [0, 1, 2], 4),
+                                      skewed_set(4, 11, 40, [0, 1, 3], 4)),
+    "16-bit-labels": lambda: (skewed_set(5, 5, 30, [0, 7, 257, 299], 300),
+                              skewed_set(6, 9, 30, [0, 3, 257, 298], 300)),
+    "repeated-maps": lambda: (random_sample_set(7, 6, 4, 3),
+                              random_sample_set(8, 30, 4, 3)),
+}
+
+
+class TestStackedPass:
+    """``ged_squared``, ``sample_diversity`` and ``iou_distance`` count the
+    overlaps once per class over the stacked rows, in pixel halves past the
+    split, in groups of classes, on one CPU or two, and must give the bytes
+    of the per-term composition."""
+
+    @pytest.fixture(params=["serial", "one-cpu", "two-cpus", "one-class-groups"])
+    def regime(self, request, monkeypatch):
+        """Every stack splits (but serial's), with the CPUs forced as in
+        ``test_rng.py``; one-class-groups holds one class's counts at once."""
+        if request.param != "serial":
+            monkeypatch.setattr(metrics.rng, "_SPLIT_MIN", 1)
+        cpus = {0} if request.param == "one-cpu" else {0, 1}
+        monkeypatch.setattr(metrics.rng.os, "sched_getaffinity", lambda pid: cpus)
+        if request.param == "one-class-groups":
+            monkeypatch.setattr(metrics, "_HELD_COUNTS", 1)
+        return request.param
+
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_equals_per_term_composition(self, regime, case):
+        gt, pred = STACKED_CASES[case]()
+        got = ged_squared(gt, pred)
+        assert repr(got) == repr(per_term_report(gt, pred)) and got.ged_squared
+        assert sample_diversity(pred) == per_term_mean_distance(pred, pred)
+        for a, b in itertools.product(gt.samples[:3], pred.samples[:3]):
+            one, other = SampleSet(samples=[a]), SampleSet(samples=[b])
+            assert iou_distance(a, b) == per_term_mean_distance(one, other)
+
+    def test_classes_of_one_set_stay_out_of_the_other_term(self):
+        """Class 2 is only in gt and class 3 only in pred. The stacked pass
+        scores both in every term, and the gt term still has the bytes of a
+        pass over gt's own classes: class 3 adds nothing to it."""
+        gt, pred = STACKED_CASES["class-in-one-set-only"]()
+        assert (gt.foreground_classes, pred.foreground_classes) == ((1, 2), (1, 3))
+        assert ged_squared(gt, pred).gt_self_term == per_term_mean_distance(gt, gt)
+
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_set_with_itself_is_exactly_zero(self, regime, case):
+        gt, _ = STACKED_CASES[case]()
+        report = ged_squared(gt, gt)
+        assert report.ged_squared == 0.0
+        assert report.cross_term == report.gt_self_term == report.diversity
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_paper_size_past_the_split(self, monkeypatch, cpus):
+        """The paper-size stack splits at the default ``_SPLIT_MIN``: one
+        one-thread pool per call with two CPUs, shut down before it returns,
+        none and no thread with one, and the per-term bytes either way."""
+        gt, pred = paper_size_sets()
+        assert 104 * 128 * 128 >= metrics.rng._SPLIT_MIN
+        want = per_term_report(gt, pred)
+        monkeypatch.setattr(metrics.rng.os, "sched_getaffinity", lambda pid: cpus)
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(threading.current_thread().name)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(metrics.rng, "ThreadPoolExecutor", RecordingPool)
+        threads = threading.active_count()
+        got = ged_squared(gt, pred)
+        assert threading.active_count() == threads
+        assert pools == (["MainThread"] if len(cpus) > 1 else [])
+        assert repr(got) == repr(want)
+        assert sample_diversity(pred) == want.diversity
+
+    @pytest.mark.parametrize("num_classes, labels", [
+        (4, [0, 1, 3]), (300, [0, 2, 299]), (1 << 16, [0, 5, (1 << 16) - 1]),
+        (1 << 16 + 1, [0, 5, 1 << 16]), (2**63, [0, 3, 2**62]),
+    ])
+    def test_foreground_classes_with_and_without_a_sort(self, monkeypatch,
+                                                        num_classes, labels):
+        """Counted in chunks up to 2**16 declared classes (here one label
+        per chunk), sorted past that; the same classes either way."""
+        monkeypatch.setattr(metrics, "_LABEL_CHUNK", 1)
+        rows = np.array([labels, labels[::-1], [0] * len(labels)])
+        got = SampleSet(labels=rows, num_classes=num_classes).foreground_classes
+        assert got == tuple(labels[1:]) and all(type(cls) is int for cls in got)

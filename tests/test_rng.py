@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,78 @@ def test_side_by_side_passes_see_the_callers_error_state(monkeypatch, cpus):
     assert rng_module._side_by_side(*passes) == [1.0, 0.0]
     with np.errstate(under="raise"), pytest.raises(FloatingPointError):
         rng_module._side_by_side(*passes)
+
+
+def test_side_by_side_inside_a_pass_runs_serially(monkeypatch):
+    """A ``_side_by_side`` called from either pass of another runs its own
+    passes on that pass's thread: one pool in all, and the next outer call
+    makes a pool again."""
+    monkeypatch.setattr(rng_module.os, "sched_getaffinity", lambda pid: {0, 1})
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(threading.current_thread().name)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(rng_module, "ThreadPoolExecutor", RecordingPool)
+
+    def thread_name():
+        return threading.current_thread().name
+
+    def inner():
+        return rng_module._side_by_side(thread_name, thread_name)
+
+    (low, low_again), (high, high_again) = rng_module._side_by_side(inner, inner)
+    assert pools == ["MainThread"]
+    assert low == low_again == "MainThread" and high == high_again != low
+    assert rng_module._side_by_side(thread_name, thread_name)[1] != "MainThread"
+    assert pools == ["MainThread", "MainThread"]
+
+
+DRAWS = {
+    "standard_normal": lambda rng, size: rng.standard_normal(size),
+    "uniform_open": lambda rng, size: rng.uniform_open(size),
+    "integers": lambda rng, size: rng.integers(0, 1000, size),
+}
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, True, "2", -1, (3, 2.5), (2, True),
+                                  (3, -1), [2, "3"]],
+                         ids=["float", "integral-float", "bool", "str", "negative",
+                              "float-extent", "bool-extent", "negative-extent",
+                              "str-in-list"])
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+def test_size_follows_the_integer_rule(draw, size):
+    with pytest.raises(ValidationError, match="size must be an integer >= 0") as caught:
+        DRAWS[draw](PortableRng(1), size)
+    assert type(caught.value) is ValidationError
+
+
+def test_normal_draw_needs_a_size():
+    with pytest.raises(ValidationError, match="no scalar draw"):
+        PortableRng(1).standard_normal(None)
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+def test_integer_sizes_keep_their_bytes(draw):
+    """numpy integers, tuples and lists give the bytes of plain ints, and
+    leave the stream where they do; ``size=None`` keeps the scalar draw."""
+    forms = {(2, 3): [(np.int64(2), 3), [2, np.uint8(3)]], 5: [np.int32(5)]}
+    for size, same in forms.items():
+        rng = PortableRng(4)
+        want = (np.asarray(DRAWS[draw](rng, size)), rng.standard_normal(2))
+        for other in same:
+            rng = PortableRng(4)
+            got = (np.asarray(DRAWS[draw](rng, other)), rng.standard_normal(2))
+            assert all(g.dtype == w.dtype and g.shape == w.shape
+                       and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    bits = np.random.Generator(np.random.PCG64(4))
+    if draw == "uniform_open":
+        scalar = (bits.integers(0, 2**53, dtype=np.int64) + 0.5) * 2.0**-53
+        assert PortableRng(4).uniform_open() == scalar
+    if draw == "integers":
+        assert PortableRng(4).integers(0, 1000) == bits.integers(0, 1000)
 
 
 FORK_AFTER_SPLIT = """

@@ -442,6 +442,28 @@ class TestEvaluationPasses:
         assert threading.active_count() == threads
         assert pools == ([] if len(os.sched_getaffinity(0)) < 2 else [1])
 
+    def test_one_pool_when_the_draw_halves_split_again(self, monkeypatch):
+        """From 45 592 samples each row half of the draw is past the split;
+        inside the evaluation's passes it draws serially, so one pool serves
+        the whole call, and the report is the one-CPU one to the bit."""
+        model = spread_model()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = evaluate_toy(model, n_samples=50_000, n_lik_samples=100, seed=2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(threading.current_thread().name)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(ssn_lab.rng, "ThreadPoolExecutor", RecordingPool)
+        threads = threading.active_count()
+        got = evaluate_toy(model, n_samples=50_000, n_lik_samples=100, seed=2)
+        assert threading.active_count() == threads
+        assert pools == ["MainThread"]
+        assert repr(got) == repr(want) and got == want
+
     @pytest.mark.parametrize("n_samples", [0, -3, 2.5])
     def test_sample_count_validated(self, n_samples):
         with pytest.raises(ValidationError,

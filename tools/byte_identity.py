@@ -26,7 +26,9 @@ so outputs are compared within a level. The jobs:
   as SSNT, then ``sample``d;
 - a generated 128x128 four-class model of rank 10, saved as SSNT, then
   ``sample``d at ``--n 5`` (one block) and ``--n 100`` (two row halves
-  drawn, rebuilt and thresholded side by side);
+  drawn, rebuilt and thresholded side by side), then ``metrics`` of the 100
+  maps against the 5 (104 x 16 384 stacked labels, whose overlaps are
+  counted in two pixel halves side by side);
 - ``metrics`` on generated JSON label maps of 4 classes, and on maps that
   declare 300 classes (16-bit labels), some of them absent from every map;
 - the paper-size digests of ``tests/test_likelihood.py``
@@ -196,6 +198,9 @@ def jobs(work: Path) -> list[tuple[str, list[str]]]:
                                  "--n", n, "--seed", "6",
                                  "--out", str(work / f"samples-paper-{n}")])
           for n in ("5", "100")),
+        ("metrics-paper", [*cli, "metrics", "--gt", str(work / "samples-paper-5"),
+                           "--pred", str(work / "samples-paper-100"),
+                           "--out", str(work / "metrics-paper.json")]),
         ("label-maps", [sys.executable, "-c", LABEL_MAPS, str(work)]),
         *((f"metrics-{classes}", [*cli, "metrics",
                                   "--gt", str(work / f"maps{classes}-gt"),
